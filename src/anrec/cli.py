@@ -76,6 +76,10 @@ def cmd_constants(args) -> int:
         return 2
     try:
         rd = RootData(args.h - 1)
+    except ValueError as exc:
+        print(f"bad rank: {exc}", file=sys.stderr)
+        return 2
+    try:
         tup = _parse_tuple(args.tuple)
         for a in tup:
             if not 1 <= a <= rd.h - 1:
@@ -157,7 +161,7 @@ def cmd_verify(args) -> int:
         if suite == "remove-n":
             if args.h is None:
                 raise _Usage("remove-n requires --h")
-            rd = RootData(args.h - 1)
+            rd = _rank(args.h - 1)
             if rd.N < 2:
                 raise _Usage("remove-n requires h >= 3")
             config["h"] = rd.h
@@ -166,7 +170,7 @@ def cmd_verify(args) -> int:
         elif suite == "symstate":
             if args.h is None:
                 raise _Usage("symstate requires --h")
-            rd = RootData(args.h - 1)
+            rd = _rank(args.h - 1)
             config["h"] = rd.h
             from .reporting import CheckReport
             e1 = elem_sym_state(rd, 1)
@@ -180,7 +184,7 @@ def cmd_verify(args) -> int:
         elif suite == "vandermonde":
             if args.h is None:
                 raise _Usage("vandermonde requires --h")
-            rd = RootData(args.h - 1)
+            rd = _rank(args.h - 1)
             config["h"] = rd.h
             from .reporting import CheckReport
             for _ in range(args.trials):
@@ -193,28 +197,28 @@ def cmd_verify(args) -> int:
         elif suite == "symc-gen":
             if args.h is None:
                 raise _Usage("symc-gen requires --h")
-            rd = RootData(args.h - 1)
+            rd = _rank(args.h - 1)
             config["h"] = rd.h
             for tup in _all_small_tuples(rd, 3):
                 results.append(verify_symc_generating(rd, tup))
         elif suite == "cbracket-gen":
             if args.h is None:
                 raise _Usage("cbracket-gen requires --h")
-            rd = RootData(args.h - 1)
+            rd = _rank(args.h - 1)
             config["h"] = rd.h
             for tup in _all_small_tuples(rd, 3):
                 results.append(verify_cbracket_generating(rd, tup))
         elif suite == "wdvv":
             if args.n is None:
                 raise _Usage("wdvv requires --n")
-            rd = RootData(args.n)
+            rd = _rank(args.n)
             config.update({"n": args.n, "degree": args.degree})
             pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
             results.append(wdvv_check(args.n, pot.F, args.degree))
         elif suite == "euler":
             if args.n is None:
                 raise _Usage("euler requires --n")
-            rd = RootData(args.n)
+            rd = _rank(args.n)
             config.update({"n": args.n, "degree": args.degree})
             pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
             results.append(euler_check(args.n, pot.F))
@@ -223,7 +227,7 @@ def cmd_verify(args) -> int:
                 raise _Usage("wconstraint requires --n")
             config.update({"n": args.n, "degree": args.degree,
                            "genus": args.genus, "cap": args.cap})
-            rd = RootData(args.n)
+            rd = _rank(args.n)
             table = solve_recursion(rd, args.genus, args.degree,
                                             m_in=args.m_in)
             from .reporting import CheckReport
@@ -235,6 +239,8 @@ def cmd_verify(args) -> int:
                         passed=rep["pass"], witness=rep["residual_terms"] or None))
         else:
             raise _Usage(f"unknown suite: {suite}")
+        if not results:
+            raise _Usage(f"suite {suite} has no checks to run for this configuration")
     except _Usage as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -256,6 +262,20 @@ class _Usage(Exception):
     pass
 
 
+def _rank(n: int) -> RootData:
+    try:
+        return RootData(n)
+    except ValueError as exc:
+        raise _Usage(f"bad rank: {exc}") from None
+
+
+def _nonneg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="anrec",
                                  description="exact residue recursion toolkit")
@@ -274,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potential", help="solve the recursion and print the table")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--degree", type=int, default=5)
-    p.add_argument("--m-in", dest="m_in", type=int, default=0)
+    p.add_argument("--genus", type=_nonneg, default=0)
+    p.add_argument("--degree", type=_nonneg, default=5)
+    p.add_argument("--m-in", dest="m_in", type=_nonneg, default=0)
     common(p)
     p.set_defaults(func=cmd_potential)
 
@@ -284,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.add_argument("--h", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--degree", type=int, default=5)
-    p.add_argument("--genus", type=int, default=1)
-    p.add_argument("--cap", type=int, default=3)
-    p.add_argument("--m-max", dest="m_max", type=int, default=1)
-    p.add_argument("--m-in", dest="m_in", type=int, default=0)
+    p.add_argument("--degree", type=_nonneg, default=5)
+    p.add_argument("--genus", type=_nonneg, default=1)
+    p.add_argument("--cap", type=_nonneg, default=3)
+    p.add_argument("--m-max", dest="m_max", type=_nonneg, default=1)
+    p.add_argument("--m-in", dest="m_in", type=_nonneg, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     common(p)

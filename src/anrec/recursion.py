@@ -189,6 +189,7 @@ class DescendantSolver:
         self._w: dict[tuple, SparsePoly] = {}
         self._stack: set[tuple] = set()
         self._prop: dict[tuple[int, int], CycScalar] = {}
+        self._kernel: dict[tuple[tuple[int, ...], int], CycScalar] = {}
 
     # -- scalar caches -------------------------------------------------------
 
@@ -210,7 +211,7 @@ class DescendantSolver:
         """sum over i in L of eta^(-i a) / prod_{j in L, j != i} (eta^i - eta^j)."""
         rd = self.rd
         key = (labels, a)
-        got = rd._kernel.get(key)
+        got = self._kernel.get(key)
         if got is None:
             acc = rd.ctx.zero
             for i in labels:
@@ -219,7 +220,7 @@ class DescendantSolver:
                     if j != i:
                         denom = denom * (rd.eta(i) - rd.eta(j))
                 acc = acc + rd.eta(-i * a) * denom.inv()
-            rd._kernel[key] = acc
+            self._kernel[key] = acc
             got = acc
         return got
 
@@ -321,15 +322,49 @@ class DescendantSolver:
                                 for k, i in enumerate(rest)]
                 if any(not cl for cl in choice_lists):
                     continue
-                for combo in iproduct(*choice_lists):
+                for combo in self._slot_combos(choice_lists, d_target,
+                                               q_target - q_pairs):
                     yield from self._finish(combo, pair_scalar, q_pairs,
                                             tuple(pool), g - p, q_target, d_target)
+
+    def _slot_combos(self, choice_lists: list[list[tuple]], max_inputs: int,
+                     q_residue: int):
+        """The slot-choice product, pruned to what :meth:`_finish` can keep.
+
+        A branch is dropped once it carries more than ``max_inputs`` input
+        variables, and the last slot keeps only the options that bring the
+        exponent sum to ``q_residue`` mod h.  Every configuration the full
+        product adds beyond these fails the same checks in :meth:`_finish`.
+        """
+        h = self.rd.h
+        if not choice_lists:
+            if q_residue % h == 0:
+                yield ()
+            return
+        *head, last = choice_lists
+        by_residue: dict[int, list[tuple]] = {}
+        for opt in last:
+            by_residue.setdefault(opt[3] % h, []).append(opt)
+
+        def walk(i: int, q: int, inputs: int, prefix: tuple):
+            if i == len(head):
+                for opt in by_residue.get((q_residue - q) % h, ()):
+                    if inputs + (opt[0] == "x") <= max_inputs:
+                        yield prefix + (opt,)
+                return
+            for opt in head[i]:
+                n = inputs + (opt[0] == "x")
+                if n <= max_inputs:
+                    yield from walk(i + 1, q + opt[3], n, prefix + (opt,))
+
+        yield from walk(0, 0, 0, ())
 
     def _slot_choices(self, slot: Slot, ext: Var | None, shift: bool) -> list[tuple]:
         """Mode options for one unpaired slot.
 
-        Each option is (kind, scalar, q, payload): kind 'x' carries an input
-        variable or a consumed external, 'sh' the dilaton insertion, 'd' a
+        Each option is (kind, sign, k, q, payload) with slot weight
+        sign * eta^k: kind 'x' carries an input variable, 'c' a constant
+        factor (a consumed external or the dilaton insertion), 'd' a
         derivative mode whose level is fixed later by the exponent budget.
         """
         rd = self.rd
@@ -338,46 +373,51 @@ class DescendantSolver:
         if kind == "chi":
             l = val
             if ext is not None:
-                out.append(("x", rd.eta(-l * ext.a), ext.m * rd.h - ext.a, None))
+                out.append(("c", 1, -l * ext.a, ext.m * rd.h - ext.a, None))
                 return out
             for b in range(1, rd.N + 1):
                 for k in range(self.m_in + 1):
-                    out.append(("x", rd.eta(-l * b), k * rd.h - b, Var(k, b)))
-                out.append(("d", rd.eta(-l * b), -b, b))
+                    out.append(("x", 1, -l * b, k * rd.h - b, Var(k, b)))
+                out.append(("d", 1, -l * b, -b, b))
             if shift:
-                out.append(("sh", -rd.eta(-l * rd.N), 1, None))
+                out.append(("c", -1, -l * rd.N, 1, None))
             return out
         b = val
         if ext is not None:
             if ext.a != b:
                 return []
-            out.append(("x", rd.ctx.one, ext.m * rd.h - b, None))
+            out.append(("c", 1, 0, ext.m * rd.h - b, None))
             return out
         for k in range(self.m_in + 1):
-            out.append(("x", rd.ctx.one, k * rd.h - b, Var(k, b)))
-        out.append(("d", rd.ctx.one, -b, b))
+            out.append(("x", 1, 0, k * rd.h - b, Var(k, b)))
+        out.append(("d", 1, 0, -b, b))
         if shift and b == rd.N:
-            out.append(("sh", -rd.ctx.one, 1, None))
+            out.append(("c", -1, 0, 1, None))
         return out
 
     def _finish(self, combo, pair_scalar: CycScalar, q_pairs: int,
                 pool: tuple[Var, ...], g_rem: int, q_target: int, d_target: int):
-        """Fix derivative levels, block structure, genera, and degree splits."""
+        """Fix derivative levels, block structure, genera, and degree splits.
+
+        Every exponent, degree and genus check runs before any field
+        arithmetic; the configuration scalar pair_scalar * sign * eta^k is
+        formed once, at the first contribution.
+        """
         rd = self.rd
         h = rd.h
-        scalar = pair_scalar
+        sign = 1
+        k_sum = 0
         q = q_pairs
         xt_vars: list[Var] = []
         dslots: list[int] = []  # flat indices b of derivative modes
-        for kind, scal, dq, payload in combo:
-            scalar = scalar * scal
+        for kind, s, k, dq, payload in combo:
+            sign *= s
+            k_sum += k
             q += dq
-            if kind == "x" and payload is not None:
+            if kind == "x":
                 xt_vars.append(payload)
             elif kind == "d":
                 dslots.append(payload)
-        if scalar.is_zero():
-            return
         u_d = len(dslots)
         rem_deg = d_target - len(xt_vars)
         if rem_deg < 0:
@@ -388,7 +428,8 @@ class DescendantSolver:
             poly = SparsePoly.constant(Fraction(1))
             for v in xt_vars:
                 poly = poly * SparsePoly.variable(v)
-            yield scalar, poly
+            scalar = pair_scalar * rd.eta(k_sum)
+            yield (scalar if sign > 0 else -scalar), poly
             return
         span = q - q_target
         if span < u_d * h or span % h:
@@ -397,9 +438,10 @@ class DescendantSolver:
         base = SparsePoly.constant(Fraction(1))
         for v in xt_vars:
             base = base * SparsePoly.variable(v)
+        scalar = None
         for comp in _compositions(total_lv, u_d, minimum=1):
             levels = [c - 1 for c in comp]
-            factor = Fraction(1)
+            factor = Fraction(sign)
             dirs: list[Var] = []
             for b, k in zip(dslots, levels):
                 factor *= b + k * h
@@ -433,6 +475,8 @@ class DescendantSolver:
                                 poly = poly * w
                             if dead:
                                 continue
+                            if scalar is None:
+                                scalar = pair_scalar * rd.eta(k_sum)
                             yield scalar * factor, poly
 
     # -- exposed evaluations ------------------------------------------------------
@@ -627,6 +671,8 @@ def solve_recursion(rd: RootData, genus_cap: int, degree_cap: int,
     result is compared exactly against the independent genus-zero engine;
     disagreement raises :class:`ConsistencyError`.
     """
+    if genus_cap < 0:
+        raise ValueError(f"genus cap must be >= 0, got {genus_cap}")
     solver = DescendantSolver(rd, m_in=m_in)
     pots: dict[int, SparsePoly] = {}
     caps: dict[int, int] = {}

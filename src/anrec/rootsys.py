@@ -20,7 +20,7 @@ HVector = tuple  # gamma-coefficients, index a-1 for a = 1..N
 class RootData:
     """Rank, Coxeter number h = N + 1, cyclotomic context, and caches."""
 
-    __slots__ = ("N", "h", "ctx", "_cc", "_sym", "_cb", "_kernel", "_cfac")
+    __slots__ = ("N", "h", "ctx", "_cc", "_sym", "_cb", "_cfac")
 
     def __init__(self, N: int):
         if N < 1:
@@ -31,7 +31,6 @@ class RootData:
         self._cc: dict = {}      # c_const cache
         self._sym: dict = {}     # sym_c cache
         self._cb: dict = {}      # c_bracket cache
-        self._kernel: dict = {}  # recursion kernel scalar cache
         self._cfac: list | None = None
 
     def eta(self, k: int) -> CycScalar:

@@ -122,3 +122,48 @@ def test_report_written_to_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(path.read_text())
     assert data["pass"]
+
+
+def test_frontier_potential_content_hash(capsys):
+    # the slowest (N, genus, degree) point of the table tests: its bytes are
+    # pinned so that a faster cluster expansion must reproduce them exactly
+    code, out, _ = run(capsys, "potential", "--n", "4", "--genus", "1",
+                       "--degree", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["content_hash"] == \
+        "dc9708002b4b5622c79065fed8a05a3082cbeebf5768e52d0c300c21797cd2a6"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "wconstraint", "--n", "0"), "bad rank"),
+    (("verify", "vandermonde", "--h", "1"), "bad rank"),
+    (("verify", "remove-n", "--h", "1"), "bad rank"),
+    (("verify", "wdvv", "--n", "0"), "bad rank"),
+    (("constants", "--h", "1"), "bad rank"),
+    (("potential", "--n", "0"), "bad rank"),
+    (("potential", "--n", "2", "--genus", "-1"), "--genus"),
+    (("potential", "--n", "2", "--degree", "-1"), "--degree"),
+    (("potential", "--n", "2", "--m-in", "-1"), "--m-in"),
+    (("verify", "wconstraint", "--n", "2", "--genus", "-1"), "--genus"),
+    (("verify", "wconstraint", "--n", "2", "--cap", "-1"), "--cap"),
+    (("verify", "wconstraint", "--n", "2", "--m-max", "-1"), "--m-max"),
+    (("verify", "wdvv", "--n", "2", "--degree", "-2"), "--degree"),
+])
+def test_usage_errors_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "symc-gen", "--h", "2"),
+    ("verify", "cbracket-gen", "--h", "2"),
+    ("verify", "remove-n", "--h", "3", "--trials", "-5"),
+    ("verify", "vandermonde", "--h", "4", "--trials", "0"),
+])
+def test_empty_suite_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"suite {argv[1]} has no checks" in err

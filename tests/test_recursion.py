@@ -1,6 +1,7 @@
 """Higher-genus engine: fields, propagators, correlators, residuals, kernels."""
 
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -367,8 +368,56 @@ def test_omega_wrapper(a2_table):
     assert not val.value.is_zero()
 
 
+def test_negative_genus_cap_rejected():
+    with pytest.raises(ValueError):
+        solve_recursion(RootData(2), -1, 5)
+
+
 def test_mixed_basis_pairing_rejected():
     rd = RootData(2)
     s = DescendantSolver(rd)
     with pytest.raises(ConsistencyError):
         s._pair_value(("chi", 1), ("gamma", 1))
+
+
+# -- pruned cluster enumeration ------------------------------------------------------
+
+def _full_product(self, choice_lists, max_inputs, q_residue):
+    return iproduct(*choice_lists)
+
+
+@pytest.mark.parametrize("N, degree, m_in", [(1, 8, 1), (2, 6, 1), (3, 5, 0)])
+def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
+    # the pruned slot product must leave the W-slice memo and every residual
+    # (dilaton insertion on, both bases) exactly as the full product does,
+    # while handing fewer configurations to _finish; residuals are compared
+    # on the solved table and again after corrupting one genus-zero slice,
+    # where they no longer vanish
+    finish = DescendantSolver._finish
+    seen = [0]
+
+    def counted(self, *args):
+        seen[0] += 1
+        return finish(self, *args)
+
+    monkeypatch.setattr(DescendantSolver, "_finish", counted)
+
+    def residuals(table):
+        return {(basis, a, m): w_residual(table, a, m, cap=2, basis=basis)
+                for basis in ("chi", "gamma")
+                for a in range(1, N + 1) for m in (0, 1)}
+
+    def solve():
+        seen[0] = 0
+        table = solve_recursion(RootData(N), 2, degree, m_in=m_in)
+        memo = dict(table.solver._w)
+        clean = residuals(table)
+        table.solver.perturb(0, (Var(0, N),), 2, (x(0, 1) * x(0, N)).scale(Fraction(1, 7)))
+        return memo, clean, residuals(table), seen[0]
+
+    memo, clean, perturbed, pruned_count = solve()
+    monkeypatch.setattr(DescendantSolver, "_slot_combos", _full_product)
+    *full, full_count = solve()
+    assert full == [memo, clean, perturbed]
+    assert full_count > pruned_count
+    assert any(not p.is_zero() for res in perturbed.values() for p in res.values())
