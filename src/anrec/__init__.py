@@ -18,18 +18,6 @@ from .combinatorics import (
     verify_symc_generating,
 )
 from .genus0 import PotentialG0, Profile, euler_check, phi0, primary_profile, rhs_residue, solve, split_n_a0, wdvv_check
-from .recursion import (
-    DescendantSolver,
-    OmegaValue,
-    omega,
-    PotentialTable,
-    dilaton_shift,
-    kernel_monomials,
-    propagator,
-    solve_recursion,
-    w_residual,
-    wick_operator,
-    x_field,
-)
+from .recursion import DescendantSolver, PotentialTable, propagator, solve_recursion, w_residual
 
 __version__ = "0.1.0"

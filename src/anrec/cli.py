@@ -16,6 +16,7 @@ import hashlib
 import json
 import random
 import sys
+from itertools import product as iproduct
 
 from .combinatorics import (
     c_bracket,
@@ -28,7 +29,7 @@ from .combinatorics import (
 from .exactnum import NotRationalError, rat_str
 from .genus0 import Profile, WellFoundednessError, euler_check, solve, wdvv_check
 from .recursion import ConsistencyError, solve_recursion, wconstraint_report
-from .reporting import SuiteReport
+from .reporting import CheckReport, SuiteReport
 from .rootsys import RootData, cbracket_state, elem_sym_state, vandermonde_coeff
 
 PRNG_NAME = "mersenne-twister (CPython random module)"
@@ -172,7 +173,6 @@ def cmd_verify(args) -> int:
                 raise _Usage("symstate requires --h")
             rd = _rank(args.h - 1)
             config["h"] = rd.h
-            from .reporting import CheckReport
             e1 = elem_sym_state(rd, 1)
             results.append(CheckReport(claim=f"e1 state vanishes h={rd.h}",
                                        passed=e1.is_zero()))
@@ -186,7 +186,6 @@ def cmd_verify(args) -> int:
                 raise _Usage("vandermonde requires --h")
             rd = _rank(args.h - 1)
             config["h"] = rd.h
-            from .reporting import CheckReport
             for _ in range(args.trials):
                 r = rng.randint(1, rd.h)
                 idx = tuple(sorted(rng.sample(range(1, rd.h + 1), r)))
@@ -230,7 +229,6 @@ def cmd_verify(args) -> int:
             rd = _rank(args.n)
             table = solve_recursion(rd, args.genus, args.degree,
                                             m_in=args.m_in)
-            from .reporting import CheckReport
             for a in range(1, args.n + 1):
                 for m in range(args.m_max + 1):
                     rep = wconstraint_report(table, a, m, args.cap)
@@ -250,7 +248,6 @@ def cmd_verify(args) -> int:
 
 
 def _all_small_tuples(rd: RootData, max_len: int):
-    from itertools import product as iproduct
     if rd.N < 2:
         return
     for r in range(1, max_len + 1):
@@ -284,11 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", default=None)
-        p.add_argument("--approx", action="store_true")
 
     p = sub.add_parser("constants", help="tuple constants C, SymC, C[.]")
     p.add_argument("--h", type=int, default=None)
     p.add_argument("--tuple", default="")
+    p.add_argument("--approx", action="store_true")
     common(p)
     p.set_defaults(func=cmd_constants)
 

@@ -155,16 +155,6 @@ def _one_minus_y(rd: RootData) -> YPoly:
     return YPoly(rd.ctx, [rd.ctx.one, -rd.ctx.one])
 
 
-def _compositions(total: int, parts: int, minimum: int = 0):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
-
-
 def verify_symc_generating(rd: RootData, a: tuple[int, ...],
                            ycap: int | None = None) -> CheckReport:
     """Generating identity for SymC with trailing top-index entries:

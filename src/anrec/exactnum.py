@@ -51,17 +51,6 @@ def _ztrim(c: list[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _zmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ci in enumerate(a):
-        if ci:
-            for j, cj in enumerate(b):
-                out[i + j] += ci * cj
-    return _ztrim(out)
-
-
 def _zdivmod_exact(n: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, ...]:
     """Quotient of n by d over Z; requires the division to be exact."""
     n_ = list(n)

@@ -24,6 +24,7 @@ ever materialised.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -31,10 +32,10 @@ from itertools import product as iproduct
 
 from . import genus0
 from .combinatorics import c_bracket
-from .exactnum import CycScalar, Rat
+from .exactnum import CycContext, CycScalar
 from .genus0 import Profile, WellFoundednessError, norm_factor
 from .reporting import CheckReport
-from .rootsys import RootData
+from .rootsys import RootData, divided_difference
 from .series import LambdaSeries, SparsePoly, Var
 
 
@@ -43,59 +44,15 @@ class ConsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Fields, propagators, and Wick terms (descriptor level).
+# Propagators and pairings.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldSymbol:
-    """One generating field: input modes at lambda^m, derivative modes below.
-
-    Exponents are stored in integer units of 1/h.  The x-mode at level m
-    carries grade -1/2 and exponent m*h; the derivative mode at level m
-    carries grade +1/2, exponent -(m+1)*h, the integer factor a + m*h, and
-    targets the dual slot x_{m, h-a}.
-    """
-
-    h: int
-    a: int
-
-    def x_mode(self, m: int) -> tuple[int, Var]:
-        return m * self.h, Var(m, self.a)
-
-    def d_mode(self, m: int) -> tuple[int, int, Var]:
-        return -(m + 1) * self.h, self.a + m * self.h, Var(m, self.h - self.a)
-
-
-@dataclass(frozen=True)
-class XFieldTerm:
-    coeff: CycScalar
-    qshift: int  # the lambda^(-a/h) factor, in 1/h units
-    field: FieldSymbol
-
-
-def x_field(rd: RootData, j: int) -> tuple[XFieldTerm, ...]:
-    """The label-j field combination sum_a eta^(-j a) Phi_a lambda^(-a/h)."""
-    if not 1 <= j <= rd.h:
-        raise ValueError(f"label {j} out of range 1..{rd.h}")
-    return tuple(XFieldTerm(rd.eta(-j * a), -a, FieldSymbol(rd.h, a))
-                 for a in range(1, rd.N + 1))
-
-
-@dataclass(frozen=True)
-class PropagatorValue:
-    """Coefficient of lambda^(-2) pairing two field labels."""
-
-    i: int
-    j: int
-    value: CycScalar
-
-
-def propagator(rd: RootData, i: int, j: int) -> PropagatorValue:
+def propagator(rd: RootData, i: int, j: int) -> CycScalar:
     """eta^(i+j) / (eta^i - eta^j)^2 in the lambda^(-2) slot."""
     if i == j:
         raise ValueError("propagator labels must differ")
     diff = rd.eta(i) - rd.eta(j)
-    return PropagatorValue(i, j, rd.eta(i + j) * (diff * diff).inv())
+    return rd.eta(i + j) * (diff * diff).inv()
 
 
 def gamma_propagator(rd: RootData, a: int, b: int) -> CycScalar:
@@ -116,28 +73,6 @@ def _pair_sets(items: tuple) -> list[tuple]:
         for tail in _pair_sets(sub):
             out.append(((first, other),) + tail)
     return out
-
-
-@dataclass(frozen=True)
-class WickOperator:
-    """Pairing expansion of a normal-ordered product of labelled fields."""
-
-    labels: tuple[int, ...]
-    terms: tuple[tuple[tuple, tuple], ...]  # (pairs, unpaired labels)
-
-
-def wick_operator(rd: RootData, labels: tuple[int, ...]) -> WickOperator:
-    labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise ValueError("field labels must be distinct")
-    if not 1 <= len(labels) <= rd.h:
-        raise ValueError("label count out of range")
-    terms = []
-    for pairs in _pair_sets(labels):
-        used = {x for pr in pairs for x in pr}
-        rest = tuple(l for l in labels if l not in used)
-        terms.append((pairs, rest))
-    return WickOperator(labels=labels, terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +109,17 @@ def _w_min_degree(g: int, size: int) -> int:
     return 0
 
 
+def _input_monomial(vs: list[Var]) -> SparsePoly:
+    """The product of the input variables ``vs``, with coefficient 1."""
+    return SparsePoly(None, {tuple(sorted(Counter(vs).items())): Fraction(1)})
+
+
+def _weighted_sum(ctx: CycContext, parts) -> SparsePoly:
+    """sum of scalar * poly over the (scalar, rational poly) pairs ``parts``."""
+    return SparsePoly.from_terms(ctx, ((mono, s * c) for s, poly in parts
+                                       for mono, c in poly.terms.items()))
+
+
 # Slot descriptors for the two field bases.
 # ('chi', label) expands over all flat indices with eta weights;
 # ('gamma', b) is a fixed flat index with unit weight.
@@ -203,25 +149,16 @@ class DescendantSolver:
         key = (min(v1, v2), max(v1, v2))
         got = self._prop.get(key)
         if got is None:
-            got = propagator(self.rd, key[0], key[1]).value
+            got = propagator(self.rd, key[0], key[1])
             self._prop[key] = got
         return got
 
     def _kernel_scalar(self, labels: tuple[int, ...], a: int) -> CycScalar:
         """sum over i in L of eta^(-i a) / prod_{j in L, j != i} (eta^i - eta^j)."""
-        rd = self.rd
         key = (labels, a)
         got = self._kernel.get(key)
         if got is None:
-            acc = rd.ctx.zero
-            for i in labels:
-                denom = rd.ctx.one
-                for j in labels:
-                    if j != i:
-                        denom = denom * (rd.eta(i) - rd.eta(j))
-                acc = acc + rd.eta(-i * a) * denom.inv()
-            self._kernel[key] = acc
-            got = acc
+            got = self._kernel[key] = divided_difference(self.rd, labels, -a)
         return got
 
     # -- the recursion ---------------------------------------------------------
@@ -256,25 +193,20 @@ class DescendantSolver:
         h = rd.h
         m, a = dirs[0]
         ext = dirs[1:]
-        acc: dict = {}
-        for size in range(2, h + 1):
-            r = size - 1
-            q_target = -h - (h * (m + 1) - (a + r))
-            for labels in combinations(range(1, h + 1), size):
-                ks = self._kernel_scalar(labels, a)
-                if ks.is_zero():
-                    continue
-                slots = tuple(("chi", l) for l in labels)
-                for scalar, poly in self._cluster(slots, g, ext, q_target, d, False):
-                    s = ks * scalar
-                    for mono, c in poly.terms.items():
-                        prev = acc.get(mono)
-                        val = s * c if prev is None else prev + s * c
-                        if val.is_zero():
-                            acc.pop(mono, None)
-                        else:
-                            acc[mono] = val
-        total = SparsePoly(rd.ctx, acc).scale(Fraction(-1, h)).demote()
+
+        def parts():
+            for size in range(2, h + 1):
+                r = size - 1
+                q_target = -h - (h * (m + 1) - (a + r))
+                for labels in combinations(range(1, h + 1), size):
+                    ks = self._kernel_scalar(labels, a)
+                    if ks.is_zero():
+                        continue
+                    slots = tuple(("chi", l) for l in labels)
+                    for scalar, poly in self._cluster(slots, g, ext, q_target, d, False):
+                        yield ks * scalar, poly
+
+        total = _weighted_sum(rd.ctx, parts()).scale(Fraction(-1, h)).demote()
         return total.scale(Fraction(1, norm_factor(h, m, a)))
 
     # -- the cluster expansion ---------------------------------------------------
@@ -425,19 +357,14 @@ class DescendantSolver:
         if u_d == 0:
             if pool or g_rem != 0 or q != q_target or rem_deg != 0:
                 return
-            poly = SparsePoly.constant(Fraction(1))
-            for v in xt_vars:
-                poly = poly * SparsePoly.variable(v)
             scalar = pair_scalar * rd.eta(k_sum)
-            yield (scalar if sign > 0 else -scalar), poly
+            yield (scalar if sign > 0 else -scalar), _input_monomial(xt_vars)
             return
         span = q - q_target
         if span < u_d * h or span % h:
             return
         total_lv = span // h  # sum of (level + 1) over derivative modes
-        base = SparsePoly.constant(Fraction(1))
-        for v in xt_vars:
-            base = base * SparsePoly.variable(v)
+        base = _input_monomial(xt_vars)
         scalar = None
         for comp in _compositions(total_lv, u_d, minimum=1):
             levels = [c - 1 for c in comp]
@@ -501,20 +428,13 @@ class DescendantSolver:
         slots = tuple(("chi", l) for l in labels)
         out: dict[int, SparsePoly] = {}
         for q in range(q_lo - 2 * h, q_hi + 1):
-            acc: dict = {}
-            for d in range(0, deg_cap + 1):
-                for scalar, poly in self._cluster(slots, g, (), q, d, False):
-                    for mono, c in poly.terms.items():
-                        prev = acc.get(mono)
-                        val = scalar * c if prev is None else prev + scalar * c
-                        if val.is_zero():
-                            acc.pop(mono, None)
-                        else:
-                            acc[mono] = val
-            if acc:
+            total = _weighted_sum(self.rd.ctx, (
+                part for d in range(deg_cap + 1)
+                for part in self._cluster(slots, g, (), q, d, False)))
+            if not total.is_zero():
                 if q < q_lo:
                     raise ConsistencyError("level growth bound violated in omega scan")
-                out[q] = SparsePoly(self.rd.ctx, acc).demote()
+                out[q] = total.demote()
         return LambdaSeries(h, None, out)
 
     def constraint_residual(self, a: int, m: int, cap: int, genus_cap: int,
@@ -534,20 +454,12 @@ class DescendantSolver:
         q_target = -h - m * h
         out: dict[int, SparsePoly] = {}
         for g in range(genus_cap + 1):
-            acc: dict = {}
-            for coeff, members in self._state_slots(r, basis):
-                for d in range(cap + 1):
-                    for scalar, poly in self._cluster(members, g, (), q_target,
-                                                      d, True):
-                        s = coeff * scalar
-                        for mono, c in poly.terms.items():
-                            prev = acc.get(mono)
-                            val = s * c if prev is None else prev + s * c
-                            if val.is_zero():
-                                acc.pop(mono, None)
-                            else:
-                                acc[mono] = val
-            out[g] = SparsePoly(rd.ctx, acc).demote()
+            out[g] = _weighted_sum(rd.ctx, (
+                (coeff * scalar, poly)
+                for coeff, members in self._state_slots(r, basis)
+                for d in range(cap + 1)
+                for scalar, poly in self._cluster(members, g, (), q_target, d, True)
+            )).demote()
         return out
 
     def _state_slots(self, r: int, basis: str):
@@ -618,23 +530,6 @@ class DescendantSolver:
         return CheckReport(claim=f"mixed-partials g={g}", passed=True)
 
 
-@dataclass(frozen=True)
-class OmegaValue:
-    """A genus-graded multi-field correlator with its Laurent expansion."""
-
-    g: int
-    labels: tuple[int, ...]
-    value: LambdaSeries
-
-
-def omega(table_or_solver, labels: tuple[int, ...], g: int,
-          deg_cap: int) -> OmegaValue:
-    """Evaluate the genus-g correlator of a label set over a solved table."""
-    solver = getattr(table_or_solver, "solver", table_or_solver)
-    return OmegaValue(g=g, labels=tuple(labels),
-                      value=solver.omega(tuple(labels), g, deg_cap))
-
-
 @dataclass
 class PotentialTable:
     """Free energies per genus with their truncation data.
@@ -663,12 +558,11 @@ class PotentialTable:
 
 
 def solve_recursion(rd: RootData, genus_cap: int, degree_cap: int,
-                    m_in: int = 0, taper: bool = True,
-                    cross_check: bool = True) -> PotentialTable:
+                    m_in: int = 0, cross_check: bool = True) -> PotentialTable:
     """Fill the free energies genus by genus from the residue recursion.
 
-    ``taper`` lowers the degree cap by two per genus.  At genus zero the
-    result is compared exactly against the independent genus-zero engine;
+    The degree cap drops by two per genus.  At genus zero the result is
+    compared exactly against the independent genus-zero engine;
     disagreement raises :class:`ConsistencyError`.
     """
     if genus_cap < 0:
@@ -678,9 +572,7 @@ def solve_recursion(rd: RootData, genus_cap: int, degree_cap: int,
     caps: dict[int, int] = {}
     notes: list[str] = []
     for g in range(genus_cap + 1):
-        cap = degree_cap - 2 * g if taper else degree_cap
-        if cap < 0:
-            cap = 0
+        cap = max(degree_cap - 2 * g, 0)
         caps[g] = cap
         pots[g] = solver.assemble_potential(g, cap)
         rep = solver.exactness_report(g, cap)
@@ -715,81 +607,3 @@ def wconstraint_report(table: PotentialTable, a: int, m: int, cap: int,
             terms.append({"grade": g, "poly": poly.to_json()})
     return {"N": table.rd.N, "a": a, "m": m, "cap": cap,
             "residual_terms": terms, "pass": not terms}
-
-
-# ---------------------------------------------------------------------------
-# Dilaton shift as a polynomial substitution.
-# ---------------------------------------------------------------------------
-
-def dilaton_shift(p: SparsePoly, N: int, level: int = 0,
-                  inverse: bool = False) -> SparsePoly:
-    """Rewrite a polynomial in shifted coordinates for the top slot.
-
-    With the convention t = q + 1 on the slot ``Var(level, N)``, a
-    polynomial in t becomes ``p.subs_shift(var, +1)`` in q; ``inverse``
-    undoes it.  Shift and unshift compose to the identity.
-    """
-    var = Var(level, N)
-    return p.subs_shift(var, Fraction(-1) if inverse else Fraction(1))
-
-
-# ---------------------------------------------------------------------------
-# Kernel monomials of the recursion, in units of (h*lambda)^(1/h).
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LambdaMonomial:
-    """coeff * ((h*lambda)^(1/h))^qexp."""
-
-    coeff: CycScalar
-    qexp: int
-
-
-def kernel_numerator(rd: RootData, m: int, a: int) -> LambdaMonomial:
-    """(h lambda)^(m+1-a/h) / ((h-a)(2h-a)...((m+1)h-a))."""
-    denom = Fraction(1)
-    for l in range(1, m + 2):
-        denom *= l * rd.h - a
-    return LambdaMonomial(rd.ctx.from_rat(Fraction(1) / denom),
-                          rd.h * (m + 1) - a)
-
-
-def kernel_denominator(rd: RootData, i: int, j: int) -> LambdaMonomial:
-    """(eta^i - eta^j) * (h lambda)^(1/h), the per-pair denominator unit."""
-    if i == j:
-        raise ValueError("denominator labels must differ")
-    return LambdaMonomial(rd.eta(i) - rd.eta(j), 1)
-
-
-def kernel_monomials(rd: RootData, m: int, a: int) -> tuple[LambdaMonomial, LambdaMonomial]:
-    """Numerator monomial for (m, a) and the unit-coefficient denominator slot.
-
-    The per-pair denominator scalar comes from :func:`kernel_denominator`;
-    dividing the numerator by the product over a label set rebuilds the
-    recursion kernel up to the constant prod_l (l*h - a) / h, which is
-    independent of the label set.
-    """
-    return kernel_numerator(rd, m, a), LambdaMonomial(rd.ctx.one, 1)
-
-
-def rebuilt_kernel_scalar(rd: RootData, m: int, a: int, i: int,
-                          js: tuple[int, ...]) -> tuple[CycScalar, int]:
-    """Kernel of one (i, J) term assembled from the period monomials."""
-    num = kernel_numerator(rd, m, a)
-    coeff = num.coeff * rd.eta(-i * a)
-    qexp = num.qexp
-    for j in js:
-        den = kernel_denominator(rd, i, j)
-        coeff = coeff * den.coeff.inv()
-        qexp -= den.qexp
-    return coeff, qexp
-
-
-def recursion_kernel_scalar(rd: RootData, m: int, a: int, i: int,
-                            js: tuple[int, ...]) -> tuple[CycScalar, int]:
-    """The recursion's own kernel for one (i, J) term: (1/h) eta^(-ia)
-    lambda^(m+1-(a+r)/h) / prod_s (eta^i - eta^(j_s))."""
-    coeff = rd.eta(-i * a) * Fraction(1, rd.h)
-    for j in js:
-        coeff = coeff * (rd.eta(i) - rd.eta(j)).inv()
-    return coeff, rd.h * (m + 1) - (a + len(js))

@@ -156,6 +156,23 @@ def cbracket_state(rd: RootData, r: int) -> SymState:
     return out
 
 
+def divided_difference(rd: RootData, nodes: tuple[int, ...], k: int) -> CycScalar:
+    """sum_i eta^(i k) / prod_{j != i} (eta^i - eta^j) over distinct labels.
+
+    The divided difference of z^(k mod h) at the nodes eta^i: the complete
+    homogeneous symmetric polynomial of degree (k mod h) - r + 1 in the r
+    nodes, and 0 when that degree is negative.
+    """
+    acc = rd.ctx.zero
+    for i in nodes:
+        denom = rd.ctx.one
+        for j in nodes:
+            if j != i:
+                denom = denom * (rd.eta(i) - rd.eta(j))
+        acc = acc + rd.eta(i * k) * denom.inv()
+    return acc
+
+
 def vandermonde_coeff(rd: RootData, indices: tuple[int, ...]) -> CycScalar:
     """sum_s eta^(i_s (r-1)) / prod_{t != s} (eta^(i_s) - eta^(i_t)).
 
@@ -164,12 +181,4 @@ def vandermonde_coeff(rd: RootData, indices: tuple[int, ...]) -> CycScalar:
     """
     if len(set(indices)) != len(indices):
         raise ValueError("indices must be distinct")
-    r = len(indices)
-    acc = rd.ctx.zero
-    for s in range(r):
-        denom = rd.ctx.one
-        for t in range(r):
-            if t != s:
-                denom = denom * (rd.eta(indices[s]) - rd.eta(indices[t]))
-        acc = acc + rd.eta(indices[s] * (r - 1)) * denom.inv()
-    return acc
+    return divided_difference(rd, indices, len(indices) - 1)

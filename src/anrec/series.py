@@ -10,7 +10,7 @@ q = -h and avoids rational exponent arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .exactnum import (
     CycContext,
@@ -185,10 +185,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((mono_degree(m) for m in self.terms), default=-1)
-
     def homo_part(self, d: int) -> "SparsePoly":
         return SparsePoly(self.domain,
                           {m: c for m, c in self.terms.items() if mono_degree(m) == d})
@@ -197,48 +193,11 @@ class SparsePoly:
         return SparsePoly(self.domain,
                           {m: c for m, c in self.terms.items() if mono_degree(m) <= d})
 
-    def truncate(self, weight: Callable[[Var], Rat], cap: Rat) -> "SparsePoly":
-        """Drop terms whose weighted degree exceeds ``cap``."""
-        keep = {}
-        for mono, c in self.terms.items():
-            w = sum((weight(v) * e for v, e in mono), Fraction(0))
-            if w <= cap:
-                keep[mono] = c
-        return SparsePoly(self.domain, keep)
-
     def coefficient(self, mono: Mono) -> Scalar:
         c = self.terms.get(mono)
         if c is not None:
             return c
         return Fraction(0) if self.domain is None else self.domain.zero
-
-    def subs_shift(self, v: Var, delta: Rat) -> "SparsePoly":
-        """Substitute v -> v + delta, expanding binomially."""
-        delta = Fraction(delta)
-        if delta == 0:
-            return self
-        out: dict[Mono, Scalar] = {}
-        for mono, c in self.terms.items():
-            e_v = 0
-            rest: list[tuple[Var, int]] = []
-            for var, e in mono:
-                if var == v:
-                    e_v = e
-                else:
-                    rest.append((var, e))
-            binom = 1
-            for k in range(e_v + 1):
-                # coefficient of v^k in (v + delta)^e_v
-                coeff = c * binom * delta ** (e_v - k)
-                new = tuple(sorted(rest + ([(v, k)] if k else [])))
-                acc = out.get(new)
-                coeff = coeff if acc is None else acc + coeff
-                if _is_zero(coeff, self.domain):
-                    out.pop(new, None)
-                else:
-                    out[new] = coeff
-                binom = binom * (e_v - k) // (k + 1)
-        return SparsePoly(self.domain, out)
 
     def variables(self) -> list[Var]:
         vs = {v for mono in self.terms for v, _ in mono}

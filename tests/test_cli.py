@@ -20,6 +20,18 @@ def test_constants_text(capsys):
     assert "SymC(1,2) = 1" in out
 
 
+def test_approx_only_on_constants(capsys):
+    code, out, _ = run(capsys, "constants", "--h", "4", "--tuple", "1,2", "--approx")
+    assert code == 0
+    assert "approx C = 0.5+0j" in out
+    for argv in (("potential", "--n", "2", "--approx"),
+                 ("verify", "symstate", "--h", "3", "--approx")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--approx" in err and "Traceback" not in err
+
+
 def test_constants_triple(capsys):
     code, out, _ = run(capsys, "constants", "--h", "4", "--tuple", "1,1,1")
     assert code == 0

@@ -1,4 +1,4 @@
-"""Higher-genus engine: fields, propagators, correlators, residuals, kernels."""
+"""Higher-genus engine: propagators, pairings, correlators, residuals."""
 
 from fractions import Fraction
 from itertools import product as iproduct
@@ -11,20 +11,13 @@ from anrec.genus0 import Profile, solve
 from anrec.recursion import (
     ConsistencyError,
     DescendantSolver,
-    dilaton_shift,
+    _pair_sets,
     gamma_propagator,
-    kernel_denominator,
-    kernel_monomials,
-    kernel_numerator,
     propagator,
-    rebuilt_kernel_scalar,
     solve_recursion,
-    recursion_kernel_scalar,
     w_residual,
-    wick_operator,
-    x_field,
 )
-from anrec.rootsys import RootData, chi, pairing
+from anrec.rootsys import RootData
 from anrec.series import SparsePoly, Var
 
 
@@ -32,46 +25,15 @@ def x(m, a):
     return SparsePoly.variable(Var(m, a))
 
 
-# -- fields and propagators ---------------------------------------------------
-
-def test_x_field_h2():
-    rd = RootData(1)
-    terms = x_field(rd, 1)
-    assert len(terms) == 1
-    assert terms[0].coeff == -rd.ctx.one and terms[0].qshift == -1
-    terms2 = x_field(rd, 2)
-    assert terms2[0].coeff == rd.ctx.one
-
-
-def test_x_field_label_sum_vanishes():
-    rd = RootData(3)
-    for a_idx in range(rd.N):
-        total = rd.ctx.zero
-        for j in range(1, rd.h + 1):
-            total = total + x_field(rd, j)[a_idx].coeff
-        assert total.is_zero()
-
-
-def test_x_field_top_label_unit_weights():
-    rd = RootData(3)
-    assert all(t.coeff == rd.ctx.one for t in x_field(rd, 4))
-
-
-def test_field_symbol_modes():
-    from anrec.recursion import FieldSymbol
-    f = FieldSymbol(4, 1)
-    assert f.x_mode(2) == (8, Var(2, 1))
-    q, factor, target = f.d_mode(1)
-    assert (q, factor, target) == (-8, 5, Var(1, 3))
-
+# -- propagators and pairings ---------------------------------------------------
 
 def test_propagator_values():
     rd = RootData(1)
-    assert propagator(rd, 1, 2).value == rd.ctx.from_rat(Fraction(-1, 4))
+    assert propagator(rd, 1, 2) == rd.ctx.from_rat(Fraction(-1, 4))
     rd4 = RootData(3)
-    assert propagator(rd4, 1, 3).value == rd4.ctx.from_rat(Fraction(-1, 4))
+    assert propagator(rd4, 1, 3) == rd4.ctx.from_rat(Fraction(-1, 4))
     for (i, j) in [(1, 2), (2, 4), (1, 4)]:
-        assert propagator(rd4, i, j).value == propagator(rd4, j, i).value
+        assert propagator(rd4, i, j) == propagator(rd4, j, i)
     with pytest.raises(ValueError):
         propagator(rd4, 2, 2)
 
@@ -91,7 +53,7 @@ def test_gamma_propagator_expands_to_label_propagator():
                         q = gamma_propagator(rd, a, b)
                         if not q.is_zero():
                             acc = acc + rd.eta(-i * a - j * b) * q
-                assert acc == propagator(rd, i, j).value
+                assert acc == propagator(rd, i, j)
 
 
 def _pair_count(r: int) -> int:
@@ -106,20 +68,14 @@ def _pair_count(r: int) -> int:
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_wick_term_counts(r):
-    rd = RootData(5)
-    op = wick_operator(rd, tuple(range(1, r + 1)))
-    assert len(op.terms) == _pair_count(r)
-    # terms partition into pairing sizes
-    assert sum(1 for pairs, rest in op.terms if not pairs) == 1
+    # the cluster expansion's pairing enumerator gives one Wick term per
+    # set of disjoint pairs of the r slots
+    pair_sets = _pair_sets(tuple(range(1, r + 1)))
+    assert len(pair_sets) == _pair_count(r)
+    assert sum(1 for pairs in pair_sets if not pairs) == 1
     if r >= 2:
-        assert sum(1 for pairs, _ in op.terms if len(pairs) == 1) \
+        assert sum(1 for pairs in pair_sets if len(pairs) == 1) \
             == r * (r - 1) // 2
-
-
-def test_wick_operator_rejects_repeats():
-    rd = RootData(3)
-    with pytest.raises(ValueError):
-        wick_operator(rd, (1, 1, 2))
 
 
 # -- correlators ---------------------------------------------------------------
@@ -264,42 +220,6 @@ def test_residual_report_shape(a2_table):
     assert rep["N"] == 2 and rep["cap"] == 3
 
 
-# -- dilaton shift and kernels ------------------------------------------------------
-
-def test_dilaton_shift_round_trip():
-    p = (x(0, 2) + x(0, 1) * x(0, 2)).scale(Fraction(3, 2)) + x(0, 2) ** 3
-    shifted = dilaton_shift(p, N=2)
-    assert shifted != p
-    assert dilaton_shift(shifted, N=2, inverse=True) == p
-    # slots other than the top one are untouched
-    q = x(0, 1) * x(1, 2)
-    assert dilaton_shift(q, N=2) == q
-
-
-def test_kernel_monomials():
-    rd = RootData(3)
-    num, den = kernel_monomials(rd, 0, rd.N)
-    assert num.qexp == rd.h * 1 - rd.N and num.coeff == rd.ctx.one
-    assert den.qexp == 1  # one (h*lambda)^(1/h) per denominator factor
-    assert kernel_denominator(rd, 1, 3).coeff == rd.eta(1) - rd.eta(3)
-    n2 = kernel_numerator(rd, 1, 2)
-    assert n2.coeff == rd.ctx.from_rat(Fraction(1, (4 - 2) * (8 - 2)))
-    assert n2.qexp == 8 - 2
-
-
-def test_kernel_rebuild_matches_recursion_kernel():
-    rd = RootData(3)
-    for (m, a) in [(0, 1), (1, 2), (2, 3)]:
-        expect_ratio = Fraction(rd.h)
-        for l in range(1, m + 2):
-            expect_ratio /= l * rd.h - a
-        for (i, js) in [(1, (2,)), (2, (3, 4)), (4, (1, 2, 3)), (3, (1,))]:
-            rb, qb = rebuilt_kernel_scalar(rd, m, a, i, js)
-            th, qt = recursion_kernel_scalar(rd, m, a, i, js)
-            assert qb == qt
-            assert rb == th * expect_ratio
-
-
 def test_table_json(a2_table):
     data = a2_table.to_json()
     assert data["n"] == 2 and "1" in data["potentials"]
@@ -359,13 +279,6 @@ def test_genus2_residuals_vanish():
     for m in (0, 1, 2):
         res = w_residual(table, 1, m, cap=2, genus_cap=2)
         assert all(p.is_zero() for p in res.values()), m
-
-
-def test_omega_wrapper(a2_table):
-    from anrec.recursion import omega
-    val = omega(a2_table, (1, 2), 0, 2)
-    assert val.g == 0 and val.labels == (1, 2)
-    assert not val.value.is_zero()
 
 
 def test_negative_genus_cap_rejected():

@@ -1,8 +1,8 @@
-"""Root-system data: chi vectors, pairing, states, Vandermonde coefficients."""
+"""Root-system data: chi vectors, pairing, states, divided differences."""
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -10,6 +10,7 @@ from anrec.rootsys import (
     RootData,
     cbracket_state,
     chi,
+    divided_difference,
     elem_sym_state,
     pairing,
     vandermonde_coeff,
@@ -108,6 +109,29 @@ def test_vandermonde_examples():
     assert vandermonde_coeff(rd6, (1, 3, 5)) == rd6.ctx.one
     with pytest.raises(ValueError):
         vandermonde_coeff(rd, (1, 1))
+
+
+def _complete_homogeneous(rd, nodes, d):
+    # h_d of the nodes eta^i as a plain sum of monomials: no inverses
+    acc = rd.ctx.zero
+    if d < 0:
+        return acc
+    for combo in combinations_with_replacement(nodes, d):
+        acc = acc + rd.eta(sum(combo))
+    return acc
+
+
+def test_divided_difference_is_complete_homogeneous():
+    # the recursion kernel sum_i eta^(-ia) / prod_{j != i} (eta^i - eta^j) is
+    # the divided difference of z^(h-a) at the nodes eta^i, i.e. h_(h-a-r+1)
+    for N in range(1, 6):
+        rd = RootData(N)
+        for r in range(1, rd.h + 1):
+            for nodes in combinations(range(1, rd.h + 1), r):
+                for a in range(rd.h):
+                    d = (-a) % rd.h - r + 1
+                    assert divided_difference(rd, nodes, -a) \
+                        == _complete_homogeneous(rd, nodes, d), (N, nodes, a)
 
 
 def test_symstate_serialization():

@@ -66,30 +66,6 @@ def test_leibniz_rule(p, q):
     assert lhs == rhs
 
 
-def test_truncate_weighted():
-    t = x(0, 1)
-    p = t * t * t + t * t * t * t
-    w = lambda v: Fraction(1)
-    assert p.truncate(w, Fraction(3)) == t * t * t
-    assert SparsePoly.zero().truncate(w, Fraction(3)).is_zero()
-    # weights (1/2, 3/4, 1) keep t1*t3^2 at cap 5/2
-    p2 = x(0, 1) * x(0, 3) * x(0, 3)
-    weights = {1: Fraction(1, 2), 2: Fraction(3, 4), 3: Fraction(1)}
-    assert p2.truncate(lambda v: weights[v.a], Fraction(5, 2)) == p2
-    assert p2.truncate(lambda v: weights[v.a], Fraction(9, 4)).is_zero()
-
-
-def test_subs_shift_round_trip():
-    p = (x(0, 2) + x(0, 1)) * x(0, 2) + x(0, 2).scale(5)
-    v = V(0, 2)
-    shifted = p.subs_shift(v, Fraction(1))
-    assert shifted.subs_shift(v, Fraction(-1)) == p
-    # (t+1)^2 = t^2 + 2t + 1
-    sq = x(0, 2) * x(0, 2)
-    expect = sq + x(0, 2).scale(2) + SparsePoly.constant(Fraction(1))
-    assert sq.subs_shift(v, Fraction(1)) == expect
-
-
 def test_lambda_series_mul_and_residue():
     h = 4
     one = SparsePoly.constant(Fraction(1))
