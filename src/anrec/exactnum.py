@@ -4,8 +4,20 @@ Every pipeline coefficient in this package lives in Q or in Q(eta) with
 eta = exp(2*pi*i/h).  Q(eta) is realised as Q[x]/(Phi_h(x)) for the h-th
 cyclotomic polynomial Phi_h, which keeps it an honest field even for
 composite h (Q[x]/(x^h - 1) has zero divisors), so constants of the form
-1/(1 - eta^j) are available exactly.  Inverses come from the extended
-Euclidean algorithm against Phi_h.
+1/(1 - eta^j) are available exactly.
+
+A :class:`CycScalar` in the power basis 1, eta, ..., eta^(d-1), d = phi(h),
+is stored as a tuple of d Python ``int`` numerators over one positive
+``int`` denominator, always in lowest terms: the gcd of the numerators and
+the denominator is 1, and zero is all zeros over 1.  Every value therefore
+has exactly one stored form, so ``==`` and ``hash`` compare the stored
+integers.  Phi_h is monic over Z, so reduction modulo Phi_h maps integer
+vectors to integer vectors: a product is one integer convolution, one
+integer reduction through precomputed rows and one gcd pass, and a sum of
+scalars over equal denominators adds numerators only.  An inverse is the
+product of the other Galois conjugates (eta -> eta^k, k a unit mod h)
+divided by the norm, a nonzero integer.  ``CycScalar.coeffs`` gives the
+coefficients as ``Fraction``s for display and serialisation.
 
 Complex floating evaluation exists only as a diagnostic
 (:meth:`CycScalar.approx`) and is never fed back into exact arithmetic.
@@ -15,6 +27,9 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
+import operator
+from collections.abc import Sequence
 from fractions import Fraction
 
 Rat = Fraction
@@ -93,108 +108,74 @@ def cyclotomic_poly(h: int) -> tuple[int, ...]:
     return num
 
 
-# ---------------------------------------------------------------------------
-# Fraction-coefficient polynomial helpers for the extended Euclid in Q[x].
-# ---------------------------------------------------------------------------
-
-def _ftrim(c: list[Rat]) -> list[Rat]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fdivmod(n: list[Rat], d: list[Rat]) -> tuple[list[Rat], list[Rat]]:
-    n_ = list(n)
-    if len(n_) < len(d):
-        return [], n_
-    q = [Fraction(0)] * (len(n_) - len(d) + 1)
-    lead = d[-1]
-    for k in range(len(n_) - len(d), -1, -1):
-        t = n_[k + len(d) - 1] / lead
-        q[k] = t
-        if t:
-            for j, dj in enumerate(d):
-                n_[k + j] -= t * dj
-    return _ftrim(q), _ftrim(n_)
-
-
-def _fmul(a: list[Rat], b: list[Rat]) -> list[Rat]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ci in enumerate(a):
-        if ci:
-            for j, cj in enumerate(b):
-                out[i + j] += ci * cj
-    return _ftrim(out)
-
-
-def _fsub(a: list[Rat], b: list[Rat]) -> list[Rat]:
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for j, cj in enumerate(b):
-        out[j] -= cj
-    return _ftrim(out)
-
-
 class CycContext:
     """Shared, immutable data of the field Q(eta), eta = exp(2*pi*i/h).
 
-    Holds Phi_h, the reduction rows for x^k with k >= deg(Phi_h), and the
-    table of eta powers.  Obtain instances through :func:`cyc_context`; they
-    are cached and compared by identity.
+    Holds Phi_h, the integer reduction rows for x^k with k >= deg(Phi_h),
+    the table of eta powers and the units mod h that index the Galois
+    conjugations.  Obtain instances through :func:`cyc_context`; they are
+    cached and compared by identity.
     """
 
-    __slots__ = ("h", "phi", "deg", "_rows", "_eta", "zero", "one")
+    __slots__ = ("h", "phi", "deg", "_rows", "_eta", "_units", "zero", "one")
 
     def __init__(self, h: int):
         if h < 2:
             raise ValueError("h must be >= 2")
         self.h = h
         self.phi = cyclotomic_poly(h)
-        self.deg = len(self.phi) - 1
-        d = self.deg
-        # rows[k - d] = coefficients of x^k mod Phi_h, for k = d .. 2d - 2 + h
-        rows: list[tuple[Rat, ...]] = []
-        cur = [Fraction(-c) for c in self.phi[:d]]  # x^d mod Phi (monic)
-        rows.append(tuple(cur))
-        for _ in range(d - 2 + self.h):
+        self.deg = d = len(self.phi) - 1
+        # x^k mod Phi_h for k < max(h, 2d - 1); Phi_h is monic over Z, so
+        # every power is an integer vector
+        powers: list[tuple[int, ...]] = []
+        cur = [1] + [0] * (d - 1)
+        for _ in range(max(h, 2 * d - 1)):
+            powers.append(tuple(cur))
             top = cur[-1]
-            cur = [Fraction(0)] + cur[:-1]
+            cur = [0] + cur[:-1]
             if top:
                 for j in range(d):
-                    cur[j] += top * -self.phi[j]
-            rows.append(tuple(cur))
-        self._rows = rows
-        eta: list[CycScalar] = []
-        for k in range(h):
-            coeffs = [Fraction(0)] * d
-            if k < d:
-                coeffs[k] = Fraction(1)
-            else:
-                coeffs = list(rows[k - d])
-            eta.append(CycScalar(self, tuple(coeffs)))
-        self._eta = eta
-        self.zero = CycScalar(self, (Fraction(0),) * d)
+                    cur[j] -= top * self.phi[j]
+        # the product kernel reads x^d .. x^(2d-2) as sparse (index, coefficient) rows
+        self._rows = tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                           for row in powers[d:2 * d - 1])
+        self._eta = tuple(_raw(self, num, 1) for num in powers[:h])
+        self._units = tuple(k for k in range(2, h) if math.gcd(k, h) == 1)
+        self.zero = _raw(self, (0,) * d, 1)
         self.one = self._eta[0]
 
-    def reduce(self, coeffs: list[Rat]) -> tuple[Rat, ...]:
-        """Reduce a coefficient list of length <= 2*deg - 1 modulo Phi_h."""
+    def _mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """Product of two integer vectors, reduced modulo Phi_h."""
         d = self.deg
-        out = list(coeffs[:d]) + [Fraction(0)] * max(0, d - len(coeffs))
-        for k in range(d, len(coeffs)):
-            c = coeffs[k]
+        out = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for k, bk in enumerate(b, i):
+                    out[k] += ai * bk
+        res = out[:d]
+        for c, row in zip(out[d:], self._rows):
             if c:
-                row = self._rows[k - d]
-                for j in range(d):
-                    out[j] += c * row[j]
-        return tuple(out)
+                for j, r in row:
+                    res[j] += c * r
+        return res
+
+    def _conj(self, a: tuple[int, ...], k: int) -> list[int]:
+        """The Galois conjugate eta -> eta^k of an integer vector."""
+        out = [0] * self.deg
+        h, eta = self.h, self._eta
+        for i, ai in enumerate(a):
+            if ai:
+                for j, e in enumerate(eta[i * k % h].num):
+                    out[j] += ai * e
+        return out
 
     def eta_pow(self, k: int) -> "CycScalar":
         return self._eta[k % self.h]
 
     def from_rat(self, q) -> "CycScalar":
-        q = Fraction(q)
-        return CycScalar(self, (q,) + (Fraction(0),) * (self.deg - 1))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _raw(self, (q.numerator,) + (0,) * (self.deg - 1), q.denominator)
 
     def __repr__(self) -> str:
         return f"CycContext(h={self.h})"
@@ -208,14 +189,23 @@ def cyc_context(h: int) -> CycContext:
 class CycScalar:
     """An element of Q(eta) in the power basis 1, eta, ..., eta^(phi(h)-1).
 
+    Stored as integer numerators ``num`` over one positive integer ``den``
+    in lowest terms; ``coeffs`` gives the same value as ``Fraction``s.
     Values are immutable; arithmetic returns new scalars reduced mod Phi_h.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: CycContext, coeffs: tuple[Rat, ...]):
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     # -- ring structure ----------------------------------------------------
 
@@ -224,63 +214,69 @@ class CycScalar:
             raise ContextMismatchError(
                 f"mixed cyclotomic contexts h={self.ctx.h} and h={other.ctx.h}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+    def _combine(self, other, op) -> "CycScalar":
+        """self op other for op = operator.add or operator.sub."""
+        if not isinstance(other, CycScalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.ctx.from_rat(other)
         self._chk(other)
-        return CycScalar(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        ad, bd = self.den, other.den
+        if ad == bd:
+            return _norm(self.ctx, list(map(op, self.num, other.num)), ad)
+        g = math.gcd(ad, bd)
+        sa, sb = bd // g, ad // g
+        return _norm(self.ctx, list(map(op, [x * sa for x in self.num],
+                                        [y * sb for y in other.num])), ad * sa)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.ctx, tuple(-a for a in self.coeffs))
+        return _raw(self.ctx, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.from_rat(other)
-        self._chk(other)
-        return CycScalar(self.ctx, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, CycScalar):
+            self._chk(other)
+            return _norm(self.ctx, self.ctx._mul(self.num, other.num), self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycScalar(self.ctx, tuple(a * q for a in self.coeffs))
-        self._chk(other)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (2 * len(a) - 1)
-        for i, ci in enumerate(a):
-            if ci:
-                for j, cj in enumerate(b):
-                    if cj:
-                        out[i + j] += ci * cj
-        return CycScalar(self.ctx, self.ctx.reduce(out))
+            p = other.numerator
+            return _norm(self.ctx, [a * p for a in self.num], self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycScalar":
-        """Multiplicative inverse via extended Euclid against Phi_h."""
+        """Multiplicative inverse: the other Galois conjugates over the norm.
+
+        For the integer vector a = den * self, the product of the conjugates
+        eta -> eta^k over the units k != 1 mod h, times a, is the norm of a,
+        a nonzero integer; so 1/self = den * prod / norm.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        phi = [Fraction(c) for c in self.ctx.phi]
-        r0, r1 = phi, _ftrim(list(self.coeffs))
-        t0: list[Rat] = []
-        t1: list[Rat] = [Fraction(1)]
-        while r1:
-            q, r = _fdivmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _fsub(t0, _fmul(q, t1))
-        # r0 is a nonzero constant gcd since Phi_h is irreducible over Q
-        g = r0[0]
-        inv_coeffs = [c / g for c in t0]
-        return CycScalar(self.ctx, self.ctx.reduce(inv_coeffs + [Fraction(0)]))
+        ctx = self.ctx
+        prod = ctx.one.num
+        for k in ctx._units:
+            prod = ctx._mul(prod, ctx._conj(self.num, k))
+        norm = ctx._mul(self.num, prod)[0]
+        scale = self.den if norm > 0 else -self.den
+        return _norm(ctx, [c * scale for c in prod], abs(norm))
 
     def __truediv__(self, other):
+        if isinstance(other, CycScalar):
+            return self * other.inv()
         if isinstance(other, (int, Fraction)):
-            return self * Fraction(1, 1) / self.ctx.from_rat(other)
-        return self * other.inv()
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
@@ -297,15 +293,15 @@ class CycScalar:
     # -- predicates and conversions ----------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_rational(self) -> Rat:
         if not self.is_rational():
             raise NotRationalError(self)
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def approx(self, digits: int = 10) -> complex:
         """Numeric value at eta = exp(2*pi*i/h); diagnostic only.
@@ -321,14 +317,15 @@ class CycScalar:
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, CycScalar):
+            return self.ctx is other.ctx and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, CycScalar):
-            return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ctx.h, self.coeffs))
+        return hash((self.ctx.h, self.num, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -354,6 +351,28 @@ class CycScalar:
         if len(coeffs) != ctx.deg:
             raise ValueError("coefficient vector length does not match phi(h)")
         return CycScalar(ctx, coeffs)
+
+
+_new_scalar = object.__new__
+
+
+def _raw(ctx: CycContext, num: tuple[int, ...], den: int) -> CycScalar:
+    """A scalar from numerators and a positive denominator already in lowest terms."""
+    s = _new_scalar(CycScalar)
+    s.ctx = ctx
+    s.num = num
+    s.den = den
+    return s
+
+
+def _norm(ctx: CycContext, num: list[int], den: int) -> CycScalar:
+    """A scalar from numerators over a positive denominator, put in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [a // g for a in num]
+    return _raw(ctx, tuple(num), den)
 
 
 def eta_pow(ctx: CycContext, k: int) -> CycScalar:

@@ -364,7 +364,7 @@ class DescendantSolver:
         if span < u_d * h or span % h:
             return
         total_lv = span // h  # sum of (level + 1) over derivative modes
-        base = _input_monomial(xt_vars)
+        base = None  # the input monomial, built at the first product formed
         scalar = None
         for comp in _compositions(total_lv, u_d, minimum=1):
             levels = [c - 1 for c in comp]
@@ -392,15 +392,21 @@ class DescendantSolver:
                         for dvec in _compositions(rem_deg, nb):
                             if any(db < md for db, md in zip(dvec, min_deg)):
                                 continue
-                            poly = base
-                            dead = False
+                            poly = None
                             for gb, bd, db in zip(gvec, block_dirs, dvec):
                                 w = self.w_slice(gb, tuple(sorted(bd)), db)
                                 if w.is_zero():
-                                    dead = True
+                                    poly = None
                                     break
-                                poly = poly * w
-                            if dead:
+                                if poly is not None:
+                                    poly = poly * w
+                                elif xt_vars:
+                                    if base is None:
+                                        base = _input_monomial(xt_vars)
+                                    poly = base * w
+                                else:
+                                    poly = w
+                            if poly is None:
                                 continue
                             if scalar is None:
                                 scalar = pair_scalar * rd.eta(k_sum)

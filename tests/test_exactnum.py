@@ -1,6 +1,7 @@
 """Scalar-domain tests: cyclotomic polynomials, field axioms, demotion."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from anrec.exactnum import (
 
 def _phi_numeric(h: int) -> tuple[int, ...]:
     # independent oracle: expand prod (x - r) over primitive h-th roots
-    import math
     roots = [cmath.exp(2j * cmath.pi * k / h)
              for k in range(1, h + 1) if math.gcd(k, h) == 1]
     poly = [1.0 + 0j]
@@ -158,3 +158,143 @@ def test_serialization_round_trip():
     a = ctx.eta_pow(1) * Fraction(3, 7) - ctx.from_rat(Fraction(1, 2))
     assert CycScalar.from_json(a.to_json()) == a
     assert parse_rat(rat_str(Fraction(-9, 4))) == Fraction(-9, 4)
+
+
+# ---------------------------------------------------------------------------
+# Independent reference for the field kernel: a hard-coded Phi_h table and
+# schoolbook Fraction arithmetic with long-division remainder.  Shares no
+# code with cyclotomic_poly or CycContext.
+# ---------------------------------------------------------------------------
+
+_PHI = {
+    2: (1, 1),
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    5: (1, 1, 1, 1, 1),
+    6: (1, -1, 1),
+    7: (1, 1, 1, 1, 1, 1, 1),
+    8: (1, 0, 0, 0, 1),
+    9: (1, 0, 0, 1, 0, 0, 1),
+    10: (1, -1, 1, -1, 1),
+    11: (1,) * 11,
+    12: (1, 0, -1, 0, 1),
+}
+
+
+def _ref_rem(h, coeffs):
+    """Remainder of a Fraction coefficient list on division by Phi_h."""
+    phi = _PHI[h]
+    d = len(phi) - 1
+    rem = [Fraction(c) for c in coeffs]
+    for top in range(len(rem) - 1, d - 1, -1):
+        t = rem[top]
+        if t:
+            for j, p in enumerate(phi):
+                rem[top - d + j] -= t * p
+    return tuple(rem[:d]) + (Fraction(0),) * (d - len(rem))
+
+
+def _ref_mul(h, a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_rem(h, out)
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+
+
+_RATS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(min_value=2, max_value=12), data=st.data())
+def test_kernel_matches_reference(h, data):
+    a = data.draw(_scalars(h))
+    b = data.draw(_scalars(h))
+    q = data.draw(_RATS)
+    assert len(_PHI[h]) - 1 == cyc_context(h).deg
+    cases = [
+        (a * b, _ref_mul(h, a.coeffs, b.coeffs)),
+        (a + b, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))),
+        (a - b, tuple(x - y for x, y in zip(a.coeffs, b.coeffs))),
+        (a * q, tuple(x * q for x in a.coeffs)),
+        (q * a, tuple(x * q for x in a.coeffs)),
+    ]
+    if not a.is_zero():
+        one = (Fraction(1),) + (Fraction(0),) * (cyc_context(h).deg - 1)
+        cases.append((a.inv() * a, one))
+        assert _ref_mul(h, a.inv().coeffs, a.coeffs) == one
+    for got, want in cases:
+        assert got.coeffs == want
+        _assert_canonical(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(min_value=2, max_value=12), data=st.data())
+def test_canonical_form_is_route_independent(h, data):
+    ctx = cyc_context(h)
+    a = data.draw(_scalars(h))
+    b = data.draw(_scalars(h))
+    routes = [a, CycScalar(ctx, a.coeffs), CycScalar.from_json(a.to_json()),
+              a + ctx.zero, (a - b) + b, a * Fraction(3, 3)]
+    if not b.is_zero():
+        routes.append(a * b * b.inv())
+    for other in routes:
+        _assert_canonical(other)
+        assert other == a
+        assert hash(other) == hash(a)
+        assert other.to_json() == a.to_json()
+
+
+def test_canonical_form_of_rationals_and_zero():
+    ctx = cyc_context(6)
+    half = ctx.from_rat(Fraction(2, 4))
+    routes = [half, CycScalar(ctx, (Fraction(1, 2), Fraction(0))),
+              ctx.from_rat(Fraction(1, 4)) * 2, ctx.one / 2,
+              ctx.from_rat(Fraction(1, 6)) + ctx.from_rat(Fraction(1, 3))]
+    for x in routes:
+        assert (x.num, x.den) == ((1, 0), 2)
+        assert x == Fraction(1, 2) and hash(x) == hash(half)
+    zeros = [ctx.zero, half - half, ctx.eta_pow(1) * 0, half * Fraction(0),
+             CycScalar(ctx, (Fraction(0, 5), Fraction(0)))]
+    for z in zeros:
+        assert (z.num, z.den) == ((0, 0), 1)
+        assert z == ctx.zero and hash(z) == hash(ctx.zero) and z == 0
+
+
+def test_mixed_denominators_serialise_reduced():
+    ctx = cyc_context(3)
+    x = CycScalar(ctx, (Fraction(1, 2), Fraction(1, 3)))
+    assert x.to_json() == {"h": 3, "coeffs": ["1/2", "1/3"]}
+    assert x.coeffs == (Fraction(1, 2), Fraction(1, 3))
+    assert repr(x) == "1/2 + 1/3*eta"
+    y = x + ctx.from_rat(Fraction(1, 2))
+    assert y.to_json() == {"h": 3, "coeffs": ["1", "1/3"]}
+
+
+def test_division_by_rational_multiplies_by_reciprocal(monkeypatch):
+    ctx = cyc_context(5)
+    x = ctx.eta_pow(2) * Fraction(3, 7) - ctx.from_rat(1)
+
+    def no_inverse(self):
+        raise AssertionError("division by a rational took an inverse")
+
+    monkeypatch.setattr(CycScalar, "inv", no_inverse)
+    assert x / Fraction(-3, 2) == x * Fraction(-2, 3)
+    assert x / 4 == x * Fraction(1, 4)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        x / Fraction(0)
+
+
+def test_float_operands_are_rejected():
+    x = cyc_context(4).eta_pow(1)
+    for op in (lambda: x + 0.5, lambda: 0.5 + x, lambda: x - 0.5, lambda: 0.5 - x,
+               lambda: x * 0.5, lambda: 0.5 * x, lambda: x / 0.5):
+        with pytest.raises(TypeError):
+            op()
