@@ -139,10 +139,26 @@ class SparsePoly:
         return self + (-other)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+        return self._mul(other, None)
+
+    def mul_capped(self, other: "SparsePoly", deg_cap: int | None = None) -> "SparsePoly":
+        """Product truncated to total degree <= deg_cap; dropped terms are never formed."""
+        return self._mul(other, deg_cap)
+
+    def _mul(self, other: "SparsePoly", deg_cap: int | None) -> "SparsePoly":
+        # the one product loop: with a cap, a monomial pair whose degrees
+        # sum past it is skipped before its coefficients are multiplied
         self._chk(other)
+        right = list(other.terms.items())
+        if deg_cap is not None:
+            right_deg = [mono_degree(m) for m, _ in right]
         terms: dict[Mono, Scalar] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            cols = right
+            if deg_cap is not None:
+                room = deg_cap - mono_degree(m1)
+                cols = [t for t, d2 in zip(right, right_deg) if d2 <= room]
+            for m2, c2 in cols:
                 mono = _mono_mul(m1, m2)
                 c = c1 * c2
                 acc = terms.get(mono)
@@ -331,9 +347,7 @@ class LambdaSeries:
         terms: dict[int, SparsePoly] = {}
         for q1, p1 in self.terms.items():
             for q2, p2 in other.terms.items():
-                prod = p1 * p2
-                if deg_cap is not None:
-                    prod = prod.up_to_degree(deg_cap)
+                prod = p1._mul(p2, deg_cap)
                 if prod.is_zero():
                     continue
                 q = q1 + q2

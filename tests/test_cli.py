@@ -146,6 +146,20 @@ def test_frontier_potential_content_hash(capsys):
         "dc9708002b4b5622c79065fed8a05a3082cbeebf5768e52d0c300c21797cd2a6"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("--n", "5", "--degree", "7"),
+     "78e5309b95c5ef87fcc7fe6f85fb24960622406bd641f9cbf9a845bb9fc4697e"),
+    (("--n", "2", "--degree", "7", "--m-in", "2"),
+     "a532b4484681f16e7513810f7abe415e36e10d0f46b286adbb2d9c1ae6452daf"),
+])
+def test_genus0_potential_content_hash(capsys, argv, digest):
+    # genus-zero tables, primary and descendant: a faster recursion or
+    # product must reproduce these bytes exactly
+    code, out, _ = run(capsys, "potential", "--genus", "0", *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["content_hash"] == digest
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "wconstraint", "--n", "0"), "bad rank"),
     (("verify", "vandermonde", "--h", "1"), "bad rank"),

@@ -1,10 +1,13 @@
 """Genus-zero engine: golden potentials, structural checks, negative controls."""
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
+from anrec.combinatorics import sym_c
 from anrec.genus0 import (
+    G0Solver,
     Profile,
     euler_check,
     phi0,
@@ -90,13 +93,48 @@ def test_phi0_primary_shape():
 
 def test_rhs_residue_from_frozen_table():
     rd = RootData(3)
-    profile = primary_profile(3, 5)
-    pot = solve(rd, profile, m_out=1)
-    # the finished table reproduces its own slices
-    for a in (1, 2, 3):
-        for d in (2, 3, 4):
-            again = rhs_residue(rd, profile, pot.ptable, 0, a, d)
-            assert again == pot.ptable[Var(0, a)].homo_part(d)
+    # the primary window, and a descendant window whose table carries one
+    # level above the checked ones for the tails the residue reads
+    for m_in, m_out, levels, degrees in [(0, 1, (0,), (2, 3, 4)),
+                                         (1, 2, (0, 1), (2, 3, 4, 5))]:
+        profile = Profile(N=3, m_in=m_in, D=5)
+        pot = solve(rd, profile, m_out=m_out)
+        # the finished table reproduces its own slices
+        for m in levels:
+            for a in (1, 2, 3):
+                for d in degrees:
+                    again = rhs_residue(rd, profile, pot.ptable, m, a, d)
+                    assert again == pot.ptable[Var(m, a)].homo_part(d)
+
+
+def _brute_sym_c(ctx, h, mu):
+    # sum over distinct arrangements of mu and increasing j_1 < ... < j_r of
+    # prod eta^(-j_s a_s) / (1 - eta^(j_s)), straight from the definition
+    total = ctx.zero
+    for arr in set(permutations(mu)):
+        for js in combinations(range(1, h), len(mu)):
+            term = ctx.one
+            for j, a in zip(js, arr):
+                term = term * ctx.eta_pow(-j * a) / (ctx.one - ctx.eta_pow(j))
+            total = total + term
+    return total
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 5, 6])
+def test_multiset_weights_are_symc(h):
+    rd = RootData(h - 1)
+    weights = G0Solver(rd, primary_profile(h - 1, 3)).multiset_weights()
+    seen = 0
+    for r in range(1, h):
+        for mu in combinations_with_replacement(range(1, h), r):
+            brute = _brute_sym_c(rd.ctx, h, mu)
+            if brute.is_zero():
+                assert mu not in weights
+                continue
+            seen += 1
+            assert weights[mu] == brute == sym_c(rd, mu)
+    # nothing else: every key is a sorted multiset of size 1..h-1
+    assert len(weights) == seen
 
 
 def test_descendant_profile_lowest_orders():

@@ -132,3 +132,79 @@ def test_ypoly_ops():
     assert YPoly.y_power(ctx, 5).eval_at_one() == ctx.one
     geometric = YPoly(ctx, [ctx.one] * 4)  # (1 - Y^4)/(1 - Y)
     assert geometric.coeff(2) == ctx.one
+
+
+# -- the degree-capped product ------------------------------------------------
+
+_CTX = cyc_context(5)
+
+
+def _mixed_polys(domain):
+    # monomials of degree 0..6 in three slots, so caps fall inside the support
+    mono = st.lists(st.tuples(st.sampled_from([Var(0, 1), Var(0, 2), Var(1, 1)]),
+                              st.integers(1, 2)), max_size=3)
+    rat = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    if domain is None:
+        coeff = rat
+    else:
+        coeff = st.tuples(rat, st.integers(0, 4)).map(
+            lambda t: domain.from_rat(t[0]) * domain.eta_pow(t[1]))
+
+    def build(items):
+        monos = []
+        for factors, c in items:
+            exps: dict = {}
+            for v, e in factors:
+                exps[v] = exps.get(v, 0) + e
+            monos.append((tuple(sorted(exps.items())), c))
+        return SparsePoly.from_terms(domain, monos)
+    return st.lists(st.tuples(mono, coeff), max_size=5).map(build)
+
+
+_CAPS = st.one_of(st.none(), st.integers(-2, 8))
+
+
+@pytest.mark.parametrize("domain", [None, _CTX], ids=["Q", "Q(eta)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_capped_product_is_truncated_product(domain, data):
+    p, q = data.draw(_mixed_polys(domain)), data.draw(_mixed_polys(domain))
+    cap = data.draw(_CAPS)
+    full = p * q
+    assert p.mul_capped(q, cap) == (full if cap is None else full.up_to_degree(cap))
+    # (p + q)(p - q): the cross terms cancel exactly under every cap
+    lhs = (p + q).mul_capped(p - q, cap)
+    assert lhs == p.mul_capped(p, cap) - q.mul_capped(q, cap)
+    zero = Fraction(0) if domain is None else domain.zero
+    assert zero not in lhs.terms.values()
+
+
+def test_capped_product_edges():
+    one = SparsePoly.constant(Fraction(1))
+    t1, t2 = x(0, 1), x(0, 2)
+    p = t1 * t2 + t2 * t2 * t2
+    # a cap below the lowest degree of the product leaves nothing
+    assert p.mul_capped(p, 3).is_zero()
+    assert p.mul_capped(p, -1).is_zero()
+    assert one.mul_capped(one, -1).is_zero()
+    assert one.mul_capped(one, 0) == one
+    # the cap is inclusive
+    assert p.mul_capped(p, 4) == t1 * t1 * t2 * t2
+    # the degree-1 terms cancel exactly and leave no zero entry behind
+    got = (one + t1).mul_capped(one - t1, 1)
+    assert got == one and list(got.terms) == [()]
+    # no cap is the plain product
+    assert p.mul_capped(p) == p * p
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_mixed_polys(None), q=_mixed_polys(None), r=_mixed_polys(None),
+       cap=_CAPS)
+def test_lambda_capped_product_truncates_every_coefficient(p, q, r, cap):
+    h = 3
+    a = LambdaSeries(h, None, {0: p, -h: q, 1: r})
+    b = LambdaSeries(h, None, {h: q, 0: r, -2: p})
+    full = a * b
+    expect = full if cap is None else LambdaSeries(
+        h, None, {k: poly.up_to_degree(cap) for k, poly in full.terms.items()})
+    assert a.mul_capped(b, cap) == expect
