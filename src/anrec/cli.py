@@ -212,15 +212,19 @@ def cmd_verify(args) -> int:
                 raise _Usage("wdvv requires --n")
             rd = _rank(args.n)
             config.update({"n": args.n, "degree": args.degree})
-            pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
-            results.append(wdvv_check(args.n, pot.F, args.degree))
+            # no index quadruple below rank 2, no third-derivative product below degree 3
+            if rd.N >= 2 and args.degree >= 3:
+                pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
+                results.append(wdvv_check(args.n, pot.F, args.degree))
         elif suite == "euler":
             if args.n is None:
                 raise _Usage("euler requires --n")
             rd = _rank(args.n)
             config.update({"n": args.n, "degree": args.degree})
-            pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
-            results.append(euler_check(args.n, pot.F))
+            # the potential starts cubic: below degree 3 there is no monomial to weigh
+            if args.degree >= 3:
+                pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
+                results.append(euler_check(args.n, pot.F))
         elif suite == "wconstraint":
             if args.n is None:
                 raise _Usage("wconstraint requires --n")

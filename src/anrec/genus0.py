@@ -13,7 +13,11 @@ demoted to Q, which fails loudly if any eta-part survives.
 Terms that cannot reach the output are never formed.  The right side sums
 over multisets of slot indices with SymC weights, not over ordered tuples,
 so each slot product and residue is taken once per multiset, and multisets
-whose weight vanishes are skipped.  Slot products, and the third-derivative
+whose weight vanishes are skipped.  Of each slot product only the one
+coefficient the right side reads is formed: the degree-d part of the
+lambda slot -(m+n+2)h.  Every other lambda slot, and every prefix slot from
+which the factors still to come cannot reach that one, is skipped before
+its polynomial product is taken.  Slot products, and the third-derivative
 products of the WDVV check, go through the degree-capped polynomial
 product, which skips every monomial pair whose degrees sum past the cap.
 """
@@ -142,6 +146,7 @@ class G0Solver:
         self._slices: dict[tuple[int, int, int], SparsePoly] = {}
         self._stack: set[tuple[int, int, int]] = set()
         self._products: dict = {}
+        self._fields: dict[tuple[int, int, int], LambdaSeries] = {}
         self._weights: dict[tuple[int, ...], CycScalar] | None = None
 
     # -- the recursion -------------------------------------------------------
@@ -197,29 +202,49 @@ class G0Solver:
             r = len(mu)
             # one tail at level m' needs -(m'+1)h >= -(m+n+2)h - r*m_in*h
             tail_max = m + n + 1 + r * self.profile.m_in
-            prod = self._slot_product((a0,) + mu, tail_max, d - r, d)
             # residue of (product * lambda^(m+n+1))
-            part = prod.coefficient(-(m + n + 2) * h).homo_part(d)
+            part = self._slot_product((a0,) + mu, tail_max, d - r, d)
             if part.is_zero():
                 continue
             acc = acc + part.lift(rd.ctx).scale(weight)
         return (-acc).demote()
 
     def _slot_product(self, slots: tuple[int, ...], tail_max: int,
-                      factor_cap: int, prod_cap: int) -> LambdaSeries:
+                      factor_cap: int, prod_cap: int) -> SparsePoly:
+        """Degree-prod_cap part of the lambda^(q_t/h) coefficient of the fields' product.
+
+        The key fixes the one slot :meth:`_rhs` reads,
+        q_t = -(tail_max + 1 - r*m_in)h with r + 1 factors.  Each prefix
+        product is formed only in the exponents from which the factors still
+        to come can reach q_t, and only up to the degree they leave: every
+        nonzero term of a field has degree >= 1.  The last product forms q_t
+        alone; no other lambda slot is ever formed.
+        """
         key = (tuple(sorted(slots)), tail_max, factor_cap, prod_cap)
         got = self._products.get(key)
         if got is not None:
             return got
         factors = [self._phi(a, tail_max, factor_cap) for a in key[0]]
+        q_t = -(tail_max + 1 - (len(slots) - 1) * self.profile.m_in) * self.rd.h
         prod = factors[0]
-        for f in factors[1:]:
-            prod = prod.mul_capped(f, prod_cap)
-        self._products[key] = prod
-        return prod
+        for i in range(1, len(factors)):
+            later = factors[i + 1:]
+            # an empty factor zeroes the product, whatever its window
+            window = (q_t - sum(max(f.terms, default=0) for f in later),
+                      q_t - sum(min(f.terms, default=0) for f in later))
+            prod = prod.mul_capped(factors[i], prod_cap - len(later), window)
+        part = prod.coefficient(q_t).homo_part(prod_cap)
+        self._products[key] = part
+        return part
 
     def _phi(self, a: int, tail_max: int, deg_cap: int) -> LambdaSeries:
-        return _phi0(self.rd, self.profile, self.p_slice, a, tail_max, deg_cap)
+        # slices are write-once, so a field built from them never changes
+        key = (a, tail_max, deg_cap)
+        got = self._fields.get(key)
+        if got is None:
+            got = self._fields[key] = _phi0(self.rd, self.profile, self.p_slice,
+                                            a, tail_max, deg_cap)
+        return got
 
     # -- outputs ---------------------------------------------------------------
 

@@ -263,31 +263,41 @@ class DescendantSolver:
                      q_residue: int):
         """The slot-choice product, pruned to what :meth:`_finish` can keep.
 
+        Each option has the slack dq - h*[kind == 'd']; a configuration
+        survives :meth:`_finish` only if its slacks sum to at least
+        ``q_residue`` (exactly it without derivative modes, and leaving every
+        derivative mode a level >= 0 with them) and to ``q_residue`` mod h.
         A branch is dropped once it carries more than ``max_inputs`` input
-        variables, and the last slot keeps only the options that bring the
-        exponent sum to ``q_residue`` mod h.  Every configuration the full
+        variables, or once the largest slack the remaining slots can add
+        cannot reach ``q_residue``; the last slot keeps only the options that
+        close the gap, mod h and in size.  Every configuration the full
         product adds beyond these fails the same checks in :meth:`_finish`.
         """
         h = self.rd.h
         if not choice_lists:
-            if q_residue % h == 0:
+            if q_residue == 0:  # all slots paired: the pairs alone must hit the target
                 yield ()
             return
+        slack = [[opt[3] - h * (opt[0] == "d") for opt in opts] for opts in choice_lists]
+        # reach[i]: the largest slack slots i.. can still add
+        reach = [0] * (len(choice_lists) + 1)
+        for i in range(len(choice_lists) - 1, -1, -1):
+            reach[i] = reach[i + 1] + max(slack[i])
         *head, last = choice_lists
         by_residue: dict[int, list[tuple]] = {}
-        for opt in last:
-            by_residue.setdefault(opt[3] % h, []).append(opt)
+        for opt, sl in zip(last, slack[-1]):
+            by_residue.setdefault(sl % h, []).append((opt, sl))
 
-        def walk(i: int, q: int, inputs: int, prefix: tuple):
+        def walk(i: int, s: int, inputs: int, prefix: tuple):
             if i == len(head):
-                for opt in by_residue.get((q_residue - q) % h, ()):
-                    if inputs + (opt[0] == "x") <= max_inputs:
+                for opt, sl in by_residue.get((q_residue - s) % h, ()):
+                    if s + sl >= q_residue and inputs + (opt[0] == "x") <= max_inputs:
                         yield prefix + (opt,)
                 return
-            for opt in head[i]:
+            for opt, sl in zip(head[i], slack[i]):
                 n = inputs + (opt[0] == "x")
-                if n <= max_inputs:
-                    yield from walk(i + 1, q + opt[3], n, prefix + (opt,))
+                if n <= max_inputs and s + sl + reach[i + 1] >= q_residue:
+                    yield from walk(i + 1, s + sl, n, prefix + (opt,))
 
         yield from walk(0, 0, 0, ())
 

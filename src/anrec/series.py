@@ -341,16 +341,24 @@ class LambdaSeries:
     def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
         return self.mul_capped(other)
 
-    def mul_capped(self, other: "LambdaSeries", deg_cap: int | None = None) -> "LambdaSeries":
-        """Convolution of lambda-exponents; optional total-degree cap."""
+    def mul_capped(self, other: "LambdaSeries", deg_cap: int | None = None,
+                   window: tuple[int, int] | None = None) -> "LambdaSeries":
+        """Convolution of lambda-exponents; optional total-degree cap and exponent window.
+
+        With ``window = (lo, hi)`` only the slots lo <= q <= hi are formed: a
+        pair of slots whose exponents sum outside the window is skipped before
+        its polynomial product is taken, as the degree cap skips monomial pairs.
+        """
         self._chk(other)
         terms: dict[int, SparsePoly] = {}
         for q1, p1 in self.terms.items():
             for q2, p2 in other.terms.items():
+                q = q1 + q2
+                if window is not None and not window[0] <= q <= window[1]:
+                    continue
                 prod = p1._mul(p2, deg_cap)
                 if prod.is_zero():
                     continue
-                q = q1 + q2
                 s = terms.get(q)
                 s = prod if s is None else s + prod
                 if s.is_zero():

@@ -146,6 +146,16 @@ def test_frontier_potential_content_hash(capsys):
         "dc9708002b4b5622c79065fed8a05a3082cbeebf5768e52d0c300c21797cd2a6"
 
 
+def test_rank_five_genus_one_content_hash(capsys):
+    # a rank where the exponent-span bound of the cluster walk cuts most of
+    # the configurations: the pruned walk must reproduce these bytes exactly
+    code, out, _ = run(capsys, "potential", "--n", "5", "--genus", "1",
+                       "--degree", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["content_hash"] == \
+        "e42eb0fd77d9d15740762802edf7743e53a2a5545c007f6c4ae204f837fe43fe"
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("--n", "5", "--degree", "7"),
      "78e5309b95c5ef87fcc7fe6f85fb24960622406bd641f9cbf9a845bb9fc4697e"),
@@ -187,6 +197,9 @@ def test_usage_errors_exit_2(capsys, argv, message):
     ("verify", "cbracket-gen", "--h", "2"),
     ("verify", "remove-n", "--h", "3", "--trials", "-5"),
     ("verify", "vandermonde", "--h", "4", "--trials", "0"),
+    ("verify", "wdvv", "--n", "1"),
+    ("verify", "wdvv", "--n", "3", "--degree", "2"),
+    ("verify", "euler", "--n", "3", "--degree", "2"),
 ])
 def test_empty_suite_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -107,6 +107,39 @@ def test_rhs_residue_from_frozen_table():
                     assert again == pot.ptable[Var(m, a)].homo_part(d)
 
 
+def _full_slot_product(solver, key):
+    # the fields multiplied in every lambda slot, then the slot _rhs reads
+    slots, tail_max, factor_cap, prod_cap = key
+    factors = [solver._phi(a, tail_max, factor_cap) for a in slots]
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = prod.mul_capped(f, prod_cap)
+    q_t = -(tail_max + 1 - (len(slots) - 1) * solver.profile.m_in) * solver.rd.h
+    return prod.coefficient(q_t).homo_part(prod_cap)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("m_in", [0, 1, 2])
+def test_windowed_slot_products_match_full_products(N, m_in):
+    # every memoised slot product equals the full product read at q_t, on a
+    # solving table and on a frozen one (as rhs_residue reads it)
+    rd = RootData(N)
+    profile = Profile(N=N, m_in=m_in, D=5)
+    solver = G0Solver(rd, profile)
+    table = {Var(m, a): solver.p_poly(m, a)
+             for m in range(m_in + 2) for a in range(1, N + 1)}
+    frozen = G0Solver(rd, profile, frozen_table=table)
+    for m in range(m_in + 1):
+        for a in range(1, N + 1):
+            for d in range(2, 6):
+                assert frozen._rhs(m, a, d) == table[Var(m, a)].homo_part(d)
+    for s in (solver, frozen):
+        assert s._products
+        for key, part in s._products.items():
+            assert part == _full_slot_product(s, key), key
+    assert any(not part.is_zero() for part in solver._products.values())
+
+
 def _brute_sym_c(ctx, h, mu):
     # sum over distinct arrangements of mu and increasing j_1 < ... < j_r of
     # prod eta^(-j_s a_s) / (1 - eta^(j_s)), straight from the definition

@@ -303,15 +303,20 @@ def _full_product(self, choice_lists, max_inputs, q_residue):
 def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
     # the pruned slot product must leave the W-slice memo and every residual
     # (dilaton insertion on, both bases) exactly as the full product does,
-    # while handing fewer configurations to _finish; residuals are compared
-    # on the solved table and again after corrupting one genus-zero slice,
-    # where they no longer vanish
+    # while handing fewer configurations to _finish and none whose exponent
+    # budget leaves a derivative mode a negative level; residuals are
+    # compared on the solved table and again after corrupting one genus-zero
+    # slice, where they no longer vanish
     finish = DescendantSolver._finish
     seen = [0]
+    short = [0]
 
-    def counted(self, *args):
+    def counted(self, combo, pair_scalar, q_pairs, pool, g_rem, q_target, d_target):
         seen[0] += 1
-        return finish(self, *args)
+        h = self.rd.h
+        slack = sum(dq - h * (kind == "d") for kind, _, _, dq, _ in combo)
+        short[0] += slack < q_target - q_pairs
+        return finish(self, combo, pair_scalar, q_pairs, pool, g_rem, q_target, d_target)
 
     monkeypatch.setattr(DescendantSolver, "_finish", counted)
 
@@ -321,16 +326,17 @@ def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
                 for a in range(1, N + 1) for m in (0, 1)}
 
     def solve():
-        seen[0] = 0
+        seen[0] = short[0] = 0
         table = solve_recursion(RootData(N), 2, degree, m_in=m_in)
         memo = dict(table.solver._w)
         clean = residuals(table)
         table.solver.perturb(0, (Var(0, N),), 2, (x(0, 1) * x(0, N)).scale(Fraction(1, 7)))
-        return memo, clean, residuals(table), seen[0]
+        return memo, clean, residuals(table), seen[0], short[0]
 
-    memo, clean, perturbed, pruned_count = solve()
+    memo, clean, perturbed, pruned_count, pruned_short = solve()
     monkeypatch.setattr(DescendantSolver, "_slot_combos", _full_product)
-    *full, full_count = solve()
+    *full, full_count, full_short = solve()
     assert full == [memo, clean, perturbed]
     assert full_count > pruned_count
+    assert pruned_short == 0 < full_short
     assert any(not p.is_zero() for res in perturbed.values() for p in res.values())

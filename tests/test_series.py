@@ -208,3 +208,52 @@ def test_lambda_capped_product_truncates_every_coefficient(p, q, r, cap):
     expect = full if cap is None else LambdaSeries(
         h, None, {k: poly.up_to_degree(cap) for k, poly in full.terms.items()})
     assert a.mul_capped(b, cap) == expect
+
+
+# -- the exponent-windowed lambda product ----------------------------------------
+
+def _lambda_series(domain, h):
+    return st.dictionaries(st.integers(-2 * h, h), _mixed_polys(domain),
+                           max_size=4).map(lambda terms: LambdaSeries(h, domain, terms))
+
+
+@pytest.mark.parametrize("domain", [None, _CTX], ids=["Q", "Q(eta)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_windowed_lambda_product_is_restricted_product(domain, data):
+    h = _CTX.h
+    a, b = data.draw(_lambda_series(domain, h)), data.draw(_lambda_series(domain, h))
+    cap = data.draw(_CAPS)
+    # lo > hi is the empty window
+    lo, hi = data.draw(st.integers(-4 * h, 2 * h)), data.draw(st.integers(-4 * h, 2 * h))
+    full = a.mul_capped(b, cap)
+    expect = LambdaSeries(h, domain, {q: p for q, p in full.terms.items() if lo <= q <= hi})
+    assert a.mul_capped(b, cap, (lo, hi)) == expect
+
+
+def test_windowed_lambda_product_edges(monkeypatch):
+    h = 3
+    t1, t2 = x(0, 1), x(0, 2)
+    a = LambdaSeries(h, None, {0: t1, -h: t2})
+    b = LambdaSeries(h, None, {h: t2, -2: t1})
+    full = a * b  # slots h, -2, 0 and -h-2
+    assert sorted(full.terms) == [-h - 2, -2, 0, h]
+    only = LambdaSeries.monomial(h, -2, t1 * t1)
+    formed = [0]
+    mul = SparsePoly._mul
+
+    def counted(self, other, cap):
+        formed[0] += 1
+        return mul(self, other, cap)
+
+    monkeypatch.setattr(SparsePoly, "_mul", counted)
+    # a one-slot window forms the one pair that lands there
+    assert a.mul_capped(b, None, (-2, -2)) == only
+    assert formed[0] == 1
+    # the empty window, and windows that miss every slot, form nothing
+    for window in [(1, 0), (-1, -1), (h + 1, 3 * h), (-5 * h, -h - 3)]:
+        assert a.mul_capped(b, None, window).is_zero()
+    assert formed[0] == 1
+    # a window over every slot is the plain product, and the degree cap still applies
+    assert a.mul_capped(b, 1, (-h - 2, h)).is_zero()
+    assert a.mul_capped(b, None, (-h - 2, h)) == full
