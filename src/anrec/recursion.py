@@ -13,6 +13,15 @@ slot pairs contract to propagators.  The hbar-grading never becomes a
 number; the integer grade g = #pairs + #derivative-slots + sum(g_B - 1)
 selects which configurations contribute at genus g.
 
+The slot walk hands on only configurations that can contribute: the
+exponent budget must leave every derivative mode a level >= 0, and one with
+no derivative mode must close on the spot (no pending direction, no genus
+left after the pairs, the exponent target and the input count hit exactly).
+How the derivative modes then split into levels and into blocks with their
+genera and degrees depends on a few integers alone, so those enumerations
+are built once per shape (:func:`_level_vectors`, :func:`_block_plans`) and
+each configuration only looks up W-slices and multiplies.
+
 Two field bases drive the same engine: the vanishing-cycle labels with
 propagator eta^(i+j)/(eta^i - eta^j)^2 and the gamma-basis with the diagonal
 propagator delta_{a+b,h} * a(h-a)/(2h), both sitting in the lambda^(-2)
@@ -27,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 
@@ -107,6 +117,42 @@ def _w_min_degree(g: int, size: int) -> int:
     if g == 0 and size == 2:
         return 1
     return 0
+
+
+@lru_cache(maxsize=None)
+def _level_vectors(total_lv: int, u_d: int) -> tuple[tuple[int, ...], ...]:
+    """The levels (each >= 0) of u_d derivative modes whose level + 1 sum to total_lv."""
+    return tuple(tuple(c - 1 for c in comp)
+                 for comp in _compositions(total_lv, u_d, minimum=1))
+
+
+@lru_cache(maxsize=None)
+def _block_plans(u_d: int, n_pool: int, g_rem: int, rem_deg: int) -> tuple[tuple, ...]:
+    """Every way to close u_d derivative modes into free-energy blocks.
+
+    A plan is (partition, pool_assign, gvec, dvec): a set partition of the
+    modes 0..u_d-1 into blocks, the block each of the n_pool pending
+    directions joins, and the genus and degree of each block.  The genera sum
+    to g_rem - u_d + #blocks and the degrees to rem_deg, and no degree falls
+    below the block's :func:`_w_min_degree`.  Plans depend on these four
+    integers alone.
+    """
+    out = []
+    for partition in _set_partitions(tuple(range(u_d))):
+        nb = len(partition)
+        genus_total = g_rem - u_d + nb
+        if genus_total < 0:
+            continue
+        for pool_assign in iproduct(range(nb), repeat=n_pool):
+            sizes = [len(block) for block in partition]
+            for t in pool_assign:
+                sizes[t] += 1
+            for gvec in _compositions(genus_total, nb):
+                min_deg = [_w_min_degree(gb, sz) for gb, sz in zip(gvec, sizes)]
+                for extra in _compositions(rem_deg - sum(min_deg), nb):
+                    dvec = tuple(e + md for e, md in zip(extra, min_deg))
+                    out.append((partition, pool_assign, gvec, dvec))
+    return tuple(out)
 
 
 def _input_monomial(vs: list[Var]) -> SparsePoly:
@@ -255,27 +301,33 @@ class DescendantSolver:
                 if any(not cl for cl in choice_lists):
                     continue
                 for combo in self._slot_combos(choice_lists, d_target,
-                                               q_target - q_pairs):
+                                               q_target - q_pairs,
+                                               not pool and p == g):
                     yield from self._finish(combo, pair_scalar, q_pairs,
                                             tuple(pool), g - p, q_target, d_target)
 
     def _slot_combos(self, choice_lists: list[list[tuple]], max_inputs: int,
-                     q_residue: int):
+                     q_residue: int, closed: bool):
         """The slot-choice product, pruned to what :meth:`_finish` can keep.
 
         Each option has the slack dq - h*[kind == 'd']; a configuration
         survives :meth:`_finish` only if its slacks sum to at least
-        ``q_residue`` (exactly it without derivative modes, and leaving every
-        derivative mode a level >= 0 with them) and to ``q_residue`` mod h.
+        ``q_residue`` (leaving every derivative mode a level >= 0) and to
+        ``q_residue`` mod h.  One without derivative modes closes no block,
+        so it survives only when it is ``closed`` (no pending directions and
+        no genus left after the pairs), its slacks sum to ``q_residue``
+        exactly and it carries exactly ``max_inputs`` input variables.
         A branch is dropped once it carries more than ``max_inputs`` input
         variables, or once the largest slack the remaining slots can add
         cannot reach ``q_residue``; the last slot keeps only the options that
-        close the gap, mod h and in size.  Every configuration the full
-        product adds beyond these fails the same checks in :meth:`_finish`.
+        close the gap, mod h and in size, and that meet the rule above.
+        Every configuration the full product adds beyond these fails the
+        same checks in :meth:`_finish`.
         """
         h = self.rd.h
         if not choice_lists:
-            if q_residue == 0:  # all slots paired: the pairs alone must hit the target
+            # all slots paired: the pairs alone must close the configuration
+            if closed and q_residue == 0 and max_inputs == 0:
                 yield ()
             return
         slack = [[opt[3] - h * (opt[0] == "d") for opt in opts] for opts in choice_lists]
@@ -288,18 +340,23 @@ class DescendantSolver:
         for opt, sl in zip(last, slack[-1]):
             by_residue.setdefault(sl % h, []).append((opt, sl))
 
-        def walk(i: int, s: int, inputs: int, prefix: tuple):
+        def walk(i: int, s: int, inputs: int, has_d: bool, prefix: tuple):
             if i == len(head):
                 for opt, sl in by_residue.get((q_residue - s) % h, ()):
-                    if s + sl >= q_residue and inputs + (opt[0] == "x") <= max_inputs:
+                    n = inputs + (opt[0] == "x")
+                    if n > max_inputs or s + sl < q_residue:
+                        continue
+                    if (has_d or opt[0] == "d"
+                            or (closed and s + sl == q_residue and n == max_inputs)):
                         yield prefix + (opt,)
                 return
             for opt, sl in zip(head[i], slack[i]):
                 n = inputs + (opt[0] == "x")
                 if n <= max_inputs and s + sl + reach[i + 1] >= q_residue:
-                    yield from walk(i + 1, s + sl, n, prefix + (opt,))
+                    yield from walk(i + 1, s + sl, n, has_d or opt[0] == "d",
+                                    prefix + (opt,))
 
-        yield from walk(0, 0, 0, ())
+        yield from walk(0, 0, 0, False, ())
 
     def _slot_choices(self, slot: Slot, ext: Var | None, shift: bool) -> list[tuple]:
         """Mode options for one unpaired slot.
@@ -342,8 +399,12 @@ class DescendantSolver:
         """Fix derivative levels, block structure, genera, and degree splits.
 
         Every exponent, degree and genus check runs before any field
-        arithmetic; the configuration scalar pair_scalar * sign * eta^k is
-        formed once, at the first contribution.
+        arithmetic.  The levels come from :func:`_level_vectors` and the
+        blocks, genera and degrees from :func:`_block_plans`, both memoised
+        on integers, so here only directions are built, W-slices looked up
+        and products formed.  The level factor prod (b + k*h) stays an int;
+        the configuration scalar pair_scalar * sign * eta^k is formed once,
+        at the first contribution.
         """
         rd = self.rd
         h = rd.h
@@ -374,53 +435,41 @@ class DescendantSolver:
         if span < u_d * h or span % h:
             return
         total_lv = span // h  # sum of (level + 1) over derivative modes
+        plans = _block_plans(u_d, len(pool), g_rem, rem_deg)
+        if not plans:
+            return
         base = None  # the input monomial, built at the first product formed
         scalar = None
-        for comp in _compositions(total_lv, u_d, minimum=1):
-            levels = [c - 1 for c in comp]
-            factor = Fraction(sign)
+        for levels in _level_vectors(total_lv, u_d):
+            factor = sign
             dirs: list[Var] = []
             for b, k in zip(dslots, levels):
                 factor *= b + k * h
                 dirs.append(Var(k, h - b))
-            for partition in _set_partitions(tuple(range(u_d))):
-                nb = len(partition)
-                genus_total = g_rem - u_d + nb
-                if genus_total < 0:
+            for partition, pool_assign, gvec, dvec in plans:
+                block_dirs: list[list[Var]] = [
+                    [dirs[i] for i in block] for block in partition]
+                for v, t in zip(pool, pool_assign):
+                    block_dirs[t].append(v)
+                poly = None
+                for gb, bd, db in zip(gvec, block_dirs, dvec):
+                    w = self.w_slice(gb, tuple(bd), db)
+                    if w.is_zero():
+                        poly = None
+                        break
+                    if poly is not None:
+                        poly = poly * w
+                    elif xt_vars:
+                        if base is None:
+                            base = _input_monomial(xt_vars)
+                        poly = base * w
+                    else:
+                        poly = w
+                if poly is None:
                     continue
-                for pool_assign in iproduct(range(nb), repeat=len(pool)):
-                    block_dirs: list[list[Var]] = [
-                        [dirs[i] for i in block] for block in partition]
-                    for v, t in zip(pool, pool_assign):
-                        block_dirs[t].append(v)
-                    sizes = [len(bd) for bd in block_dirs]
-                    for gvec in _compositions(genus_total, nb):
-                        min_deg = [_w_min_degree(gb, sz)
-                                   for gb, sz in zip(gvec, sizes)]
-                        if sum(min_deg) > rem_deg:
-                            continue
-                        for dvec in _compositions(rem_deg, nb):
-                            if any(db < md for db, md in zip(dvec, min_deg)):
-                                continue
-                            poly = None
-                            for gb, bd, db in zip(gvec, block_dirs, dvec):
-                                w = self.w_slice(gb, tuple(sorted(bd)), db)
-                                if w.is_zero():
-                                    poly = None
-                                    break
-                                if poly is not None:
-                                    poly = poly * w
-                                elif xt_vars:
-                                    if base is None:
-                                        base = _input_monomial(xt_vars)
-                                    poly = base * w
-                                else:
-                                    poly = w
-                            if poly is None:
-                                continue
-                            if scalar is None:
-                                scalar = pair_scalar * rd.eta(k_sum)
-                            yield scalar * factor, poly
+                if scalar is None:
+                    scalar = pair_scalar * rd.eta(k_sum)
+                yield scalar * factor, poly
 
     # -- exposed evaluations ------------------------------------------------------
 

@@ -156,6 +156,16 @@ def test_rank_five_genus_one_content_hash(capsys):
         "e42eb0fd77d9d15740762802edf7743e53a2a5545c007f6c4ae204f837fe43fe"
 
 
+def test_rank_one_genus_five_content_hash(capsys):
+    # the deepest genus any test reaches: most derivative-block plans are
+    # reused here, so the memoised plans must reproduce these bytes exactly
+    code, out, _ = run(capsys, "potential", "--n", "1", "--genus", "5",
+                       "--degree", "12", "--m-in", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["content_hash"] == \
+        "a3eb521de8274e11ff2f6ca1d39dbc3b56ce78b4f2ba60c94cfe91bb0d2b5dca"
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("--n", "5", "--degree", "7"),
      "78e5309b95c5ef87fcc7fe6f85fb24960622406bd641f9cbf9a845bb9fc4697e"),

@@ -1,6 +1,7 @@
 """Higher-genus engine: propagators, pairings, correlators, residuals."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
@@ -11,7 +12,11 @@ from anrec.genus0 import Profile, solve
 from anrec.recursion import (
     ConsistencyError,
     DescendantSolver,
+    _block_plans,
+    _level_vectors,
     _pair_sets,
+    _set_partitions,
+    _w_min_degree,
     gamma_propagator,
     propagator,
     solve_recursion,
@@ -295,7 +300,7 @@ def test_mixed_basis_pairing_rejected():
 
 # -- pruned cluster enumeration ------------------------------------------------------
 
-def _full_product(self, choice_lists, max_inputs, q_residue):
+def _full_product(self, choice_lists, max_inputs, q_residue, closed):
     return iproduct(*choice_lists)
 
 
@@ -303,20 +308,26 @@ def _full_product(self, choice_lists, max_inputs, q_residue):
 def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
     # the pruned slot product must leave the W-slice memo and every residual
     # (dilaton insertion on, both bases) exactly as the full product does,
-    # while handing fewer configurations to _finish and none whose exponent
-    # budget leaves a derivative mode a negative level; residuals are
+    # while handing fewer configurations to _finish, none whose exponent
+    # budget leaves a derivative mode a negative level, and no derivative-free
+    # one that _finish rejects; residuals are
     # compared on the solved table and again after corrupting one genus-zero
     # slice, where they no longer vanish
     finish = DescendantSolver._finish
     seen = [0]
     short = [0]
+    dfree_rejected = [0]
 
     def counted(self, combo, pair_scalar, q_pairs, pool, g_rem, q_target, d_target):
         seen[0] += 1
         h = self.rd.h
         slack = sum(dq - h * (kind == "d") for kind, _, _, dq, _ in combo)
         short[0] += slack < q_target - q_pairs
-        return finish(self, combo, pair_scalar, q_pairs, pool, g_rem, q_target, d_target)
+        out = finish(self, combo, pair_scalar, q_pairs, pool, g_rem, q_target, d_target)
+        if all(kind != "d" for kind, *_ in combo):
+            out = list(out)
+            dfree_rejected[0] += not out
+        return out
 
     monkeypatch.setattr(DescendantSolver, "_finish", counted)
 
@@ -326,17 +337,70 @@ def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
                 for a in range(1, N + 1) for m in (0, 1)}
 
     def solve():
-        seen[0] = short[0] = 0
+        seen[0] = short[0] = dfree_rejected[0] = 0
         table = solve_recursion(RootData(N), 2, degree, m_in=m_in)
         memo = dict(table.solver._w)
         clean = residuals(table)
         table.solver.perturb(0, (Var(0, N),), 2, (x(0, 1) * x(0, N)).scale(Fraction(1, 7)))
-        return memo, clean, residuals(table), seen[0], short[0]
+        return memo, clean, residuals(table), seen[0], short[0], dfree_rejected[0]
 
-    memo, clean, perturbed, pruned_count, pruned_short = solve()
+    memo, clean, perturbed, pruned_count, pruned_short, pruned_dfree = solve()
     monkeypatch.setattr(DescendantSolver, "_slot_combos", _full_product)
-    *full, full_count, full_short = solve()
+    *full, full_count, full_short, full_dfree = solve()
     assert full == [memo, clean, perturbed]
     assert full_count > pruned_count
     assert pruned_short == 0 < full_short
+    # no configuration without a derivative mode reaches _finish only to be
+    # rejected there
+    assert pruned_dfree == 0 < full_dfree
     assert any(not p.is_zero() for res in perturbed.values() for p in res.values())
+
+
+# -- derivative-block plans -------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _lex_compositions(total, parts, minimum):
+    # every tuple of `parts` integers >= minimum summing to total, in
+    # lexicographic order
+    return [c for c in iproduct(range(minimum, max(total, 0) + 1), repeat=parts)
+            if sum(c) == total]
+
+
+def _nested_plans(u_d, n_pool, g_rem, rem_deg):
+    # the five nested loops _finish ran for every configuration before the
+    # plans were memoised, with the minimum-degree filter applied after the
+    # degree vector was generated
+    out = []
+    for partition in _set_partitions(tuple(range(u_d))):
+        nb = len(partition)
+        genus_total = g_rem - u_d + nb
+        if genus_total < 0:
+            continue
+        for pool_assign in iproduct(range(nb), repeat=n_pool):
+            sizes = [len(block) + pool_assign.count(b) for b, block in enumerate(partition)]
+            for gvec in _lex_compositions(genus_total, nb, 0):
+                min_deg = [_w_min_degree(gb, sz) for gb, sz in zip(gvec, sizes)]
+                if sum(min_deg) > rem_deg:
+                    continue
+                for dvec in _lex_compositions(rem_deg, nb, 0):
+                    if any(db < md for db, md in zip(dvec, min_deg)):
+                        continue
+                    out.append((partition, pool_assign, gvec, dvec))
+    return out
+
+
+def test_block_plans_match_nested_loops():
+    nonempty = 0
+    for u_d in range(5):
+        for total_lv in range(9):
+            want = [tuple(c - 1 for c in comp)
+                    for comp in _lex_compositions(total_lv, u_d, 1)]
+            assert list(_level_vectors(total_lv, u_d)) == want, (total_lv, u_d)
+        for n_pool in range(3):
+            for g_rem in range(5):
+                for rem_deg in range(7):
+                    want = _nested_plans(u_d, n_pool, g_rem, rem_deg)
+                    got = list(_block_plans(u_d, n_pool, g_rem, rem_deg))
+                    assert got == want, (u_d, n_pool, g_rem, rem_deg)
+                    nonempty += bool(want)
+    assert nonempty > 100
