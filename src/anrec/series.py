@@ -149,8 +149,6 @@ class SparsePoly:
         # the one product loop: with a cap, a monomial pair whose degrees
         # sum past it is skipped before its coefficients are multiplied
         self._chk(other)
-        if len(self.terms) == 1 or len(other.terms) == 1:
-            return self._mul_monomial(other, deg_cap)
         right = list(other.terms.items())
         if deg_cap is not None:
             right_deg = [mono_degree(m) for m, _ in right]
@@ -169,19 +167,6 @@ class SparsePoly:
                     terms.pop(mono, None)
                 else:
                     terms[mono] = c
-        return SparsePoly(self.domain, terms)
-
-    def _mul_monomial(self, other: "SparsePoly", deg_cap: int | None) -> "SparsePoly":
-        # one operand is a single term: multiplying by it maps distinct
-        # monomials to distinct monomials, and over a field a product of
-        # nonzero coefficients is nonzero, so nothing accumulates or cancels
-        fixed_left = len(other.terms) != 1
-        (m0, c0), = (self if fixed_left else other).terms.items()
-        room = None if deg_cap is None else deg_cap - mono_degree(m0)
-        terms: dict[Mono, Scalar] = {}
-        for m, c in (other if fixed_left else self).terms.items():
-            if room is None or mono_degree(m) <= room:
-                terms[_mono_mul(m, m0)] = c0 * c if fixed_left else c * c0
         return SparsePoly(self.domain, terms)
 
     def scale(self, c: Scalar) -> "SparsePoly":

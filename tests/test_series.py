@@ -7,15 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anrec.exactnum import cyc_context
-from anrec.series import (
-    DomainMismatchError,
-    LambdaSeries,
-    SparsePoly,
-    Var,
-    YPoly,
-    _mono_mul,
-    mono_degree,
-)
+from anrec.series import LambdaSeries, SparsePoly, Var, YPoly
 
 
 def V(m, a):
@@ -185,33 +177,6 @@ def test_capped_product_is_truncated_product(domain, data):
     assert lhs == p.mul_capped(p, cap) - q.mul_capped(q, cap)
     zero = Fraction(0) if domain is None else domain.zero
     assert zero not in lhs.terms.values()
-
-
-def _general_product(p, q, cap):
-    # the pairwise product loop of SparsePoly._mul, rebuilt term by term:
-    # every monomial pair within the cap, accumulated, zero sums dropped
-    return SparsePoly.from_terms(p.domain, (
-        (_mono_mul(m1, m2), c1 * c2)
-        for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()
-        if cap is None or mono_degree(m1) + mono_degree(m2) <= cap))
-
-
-@pytest.mark.parametrize("domain", [None, _CTX], ids=["Q", "Q(eta)"])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_single_term_product_is_general_product(domain, data):
-    # a one-term operand on either side takes the monomial-shift path; it
-    # must give the general loop's terms, in the general loop's order
-    term = data.draw(_mixed_polys(domain).filter(lambda t: len(t.terms) == 1))
-    other = data.draw(_mixed_polys(domain))
-    cap = data.draw(_CAPS)
-    for p, q in ((term, other), (other, term)):
-        want = _general_product(p, q, cap)
-        got = p * q if cap is None else p.mul_capped(q, cap)
-        assert list(got.terms.items()) == list(want.terms.items())
-    wrong = _CTX if domain is None else None
-    with pytest.raises(DomainMismatchError):
-        term * SparsePoly.constant(Fraction(1) if wrong is None else wrong.one, wrong)
 
 
 def test_capped_product_edges():
