@@ -45,11 +45,18 @@ def _emit(payload: dict, args) -> None:
         _canonical_json(payload).encode()).hexdigest()
     text = (json.dumps(payload, indent=2, sort_keys=True)
             if args.format == "json" else _as_text(payload))
-    if args.out:
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
+    if not args.out:
+        print(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise _Usage(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
 
 
 def _as_text(payload: dict) -> str:
@@ -73,60 +80,46 @@ def _scalar_text(s) -> str:
 
 def cmd_constants(args) -> int:
     if args.h is None:
-        print("constants requires --h", file=sys.stderr)
-        return 2
-    try:
-        rd = RootData(args.h - 1)
-    except ValueError as exc:
-        print(f"bad rank: {exc}", file=sys.stderr)
-        return 2
+        raise _Usage("constants requires --h")
+    rd = _rank(args.h - 1)
     try:
         tup = _parse_tuple(args.tuple)
         for a in tup:
             if not 1 <= a <= rd.h - 1:
                 raise ValueError(f"entry {a} out of range 1..{rd.h - 1}")
     except ValueError as exc:
-        print(f"bad tuple: {exc}", file=sys.stderr)
-        return 2
+        raise _Usage(f"bad tuple: {exc}") from None
+    label = ",".join(str(a) for a in tup)
     c = c_const(rd, tup)
-    payload = {"h": rd.h, "tuple": list(tup), "c": c.to_json()}
-    if args.format == "text":
-        label = ",".join(str(a) for a in tup)
-        print(f"C({label}) = {_scalar_text(c)}")
-        if tup:
-            s = sym_c(rd, tup)
-            print(f"SymC({label}) = {_scalar_text(s)}")
-            if all(a <= rd.N for a in tup):
-                b = c_bracket(rd, tuple(sorted(tup)))
-                print(f"C[{label}] = {_scalar_text(b)}")
-        if args.approx:
-            print(f"approx C = {c.approx(10):.10g}")
-        return 0
+    # (payload key, text label, value), computed once for either format
+    rows = [("c", f"C({label})", c)]
     if tup:
-        payload["symc"] = sym_c(rd, tup).to_json()
+        rows.append(("symc", f"SymC({label})", sym_c(rd, tup)))
         if all(a <= rd.N for a in tup):
-            payload["cbracket"] = c_bracket(rd, tuple(sorted(tup))).to_json()
-    _emit(payload, args)
+            rows.append(("cbracket", f"C[{label}]", c_bracket(rd, tuple(sorted(tup)))))
+    if args.format == "json":
+        payload = {"h": rd.h, "tuple": list(tup)}
+        payload.update((key, value.to_json()) for key, _, value in rows)
+        _emit(payload, args)
+        return 0
+    lines = [f"{name} = {_scalar_text(value)}" for _, name, value in rows]
+    if args.approx:
+        lines.append(f"approx C = {c.approx(10):.10g}")
+    _write("\n".join(lines), args)
     return 0
 
 
 def cmd_potential(args) -> int:
     if args.n is None:
-        print("potential requires --n", file=sys.stderr)
-        return 2
-    try:
-        rd = RootData(args.n)
-    except ValueError as exc:
-        print(f"bad rank: {exc}", file=sys.stderr)
-        return 2
+        raise _Usage("potential requires --n")
+    rd = _rank(args.n)
     try:
         if args.genus == 0:
             profile = Profile(N=args.n, m_in=args.m_in, D=args.degree)
             pot = solve(rd, profile, m_out=args.m_in)
             payload = pot.to_json()
         else:
-            table = solve_recursion(rd, args.genus, args.degree,
-                                            m_in=args.m_in)
+            table = solve_recursion(rd, args.genus, args.degree, m_in=args.m_in)
             payload = table.to_json()
     except (ConsistencyError, WellFoundednessError, NotRationalError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
@@ -158,94 +151,89 @@ def cmd_verify(args) -> int:
     config = {"suite": suite, "seed": args.seed, "trials": args.trials,
               "prng": PRNG_NAME}
     results = []
-    try:
-        if suite == "remove-n":
-            if args.h is None:
-                raise _Usage("remove-n requires --h")
-            rd = _rank(args.h - 1)
-            if rd.N < 2:
-                raise _Usage("remove-n requires h >= 3")
-            config["h"] = rd.h
-            for b, m in _random_remove_n_cases(rd, args.trials, rng):
-                results.append(verify_remove_n(rd, b, m))
-        elif suite == "symstate":
-            if args.h is None:
-                raise _Usage("symstate requires --h")
-            rd = _rank(args.h - 1)
-            config["h"] = rd.h
-            e1 = elem_sym_state(rd, 1)
-            results.append(CheckReport(claim=f"e1 state vanishes h={rd.h}",
-                                       passed=e1.is_zero()))
-            for r in range(2, rd.h + 1):
-                same = cbracket_state(rd, r) == elem_sym_state(rd, r)
+    if suite == "remove-n":
+        if args.h is None:
+            raise _Usage("remove-n requires --h")
+        rd = _rank(args.h - 1)
+        if rd.N < 2:
+            raise _Usage("remove-n requires h >= 3")
+        config["h"] = rd.h
+        for b, m in _random_remove_n_cases(rd, args.trials, rng):
+            results.append(verify_remove_n(rd, b, m))
+    elif suite == "symstate":
+        if args.h is None:
+            raise _Usage("symstate requires --h")
+        rd = _rank(args.h - 1)
+        config["h"] = rd.h
+        e1 = elem_sym_state(rd, 1)
+        results.append(CheckReport(claim=f"e1 state vanishes h={rd.h}",
+                                   passed=e1.is_zero()))
+        for r in range(2, rd.h + 1):
+            same = cbracket_state(rd, r) == elem_sym_state(rd, r)
+            results.append(CheckReport(
+                claim=f"bracket state equals elementary state h={rd.h} r={r}",
+                passed=same))
+    elif suite == "vandermonde":
+        if args.h is None:
+            raise _Usage("vandermonde requires --h")
+        rd = _rank(args.h - 1)
+        config["h"] = rd.h
+        for _ in range(args.trials):
+            r = rng.randint(1, rd.h)
+            idx = tuple(sorted(rng.sample(range(1, rd.h + 1), r)))
+            val = vandermonde_coeff(rd, idx)
+            results.append(CheckReport(
+                claim=f"vandermonde h={rd.h} idx={list(idx)}",
+                passed=val == rd.ctx.one, lhs=val.to_json()))
+    elif suite == "symc-gen":
+        if args.h is None:
+            raise _Usage("symc-gen requires --h")
+        rd = _rank(args.h - 1)
+        config["h"] = rd.h
+        for tup in _all_small_tuples(rd, 3):
+            results.append(verify_symc_generating(rd, tup))
+    elif suite == "cbracket-gen":
+        if args.h is None:
+            raise _Usage("cbracket-gen requires --h")
+        rd = _rank(args.h - 1)
+        config["h"] = rd.h
+        for tup in _all_small_tuples(rd, 3):
+            results.append(verify_cbracket_generating(rd, tup))
+    elif suite == "wdvv":
+        if args.n is None:
+            raise _Usage("wdvv requires --n")
+        rd = _rank(args.n)
+        config.update({"n": args.n, "degree": args.degree})
+        # no index quadruple below rank 2, no third-derivative product below degree 3
+        if rd.N >= 2 and args.degree >= 3:
+            pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
+            results.append(wdvv_check(args.n, pot.F, args.degree))
+    elif suite == "euler":
+        if args.n is None:
+            raise _Usage("euler requires --n")
+        rd = _rank(args.n)
+        config.update({"n": args.n, "degree": args.degree})
+        # the potential starts cubic: below degree 3 there is no monomial to weigh
+        if args.degree >= 3:
+            pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
+            results.append(euler_check(args.n, pot.F))
+    elif suite == "wconstraint":
+        if args.n is None:
+            raise _Usage("wconstraint requires --n")
+        config.update({"n": args.n, "degree": args.degree,
+                       "genus": args.genus, "cap": args.cap})
+        rd = _rank(args.n)
+        table = solve_recursion(rd, args.genus, args.degree, m_in=args.m_in)
+        for a in range(1, args.n + 1):
+            for m in range(args.m_max + 1):
+                rep = wconstraint_report(table, a, m, args.cap)
                 results.append(CheckReport(
-                    claim=f"bracket state equals elementary state h={rd.h} r={r}",
-                    passed=same))
-        elif suite == "vandermonde":
-            if args.h is None:
-                raise _Usage("vandermonde requires --h")
-            rd = _rank(args.h - 1)
-            config["h"] = rd.h
-            for _ in range(args.trials):
-                r = rng.randint(1, rd.h)
-                idx = tuple(sorted(rng.sample(range(1, rd.h + 1), r)))
-                val = vandermonde_coeff(rd, idx)
-                results.append(CheckReport(
-                    claim=f"vandermonde h={rd.h} idx={list(idx)}",
-                    passed=val == rd.ctx.one, lhs=val.to_json()))
-        elif suite == "symc-gen":
-            if args.h is None:
-                raise _Usage("symc-gen requires --h")
-            rd = _rank(args.h - 1)
-            config["h"] = rd.h
-            for tup in _all_small_tuples(rd, 3):
-                results.append(verify_symc_generating(rd, tup))
-        elif suite == "cbracket-gen":
-            if args.h is None:
-                raise _Usage("cbracket-gen requires --h")
-            rd = _rank(args.h - 1)
-            config["h"] = rd.h
-            for tup in _all_small_tuples(rd, 3):
-                results.append(verify_cbracket_generating(rd, tup))
-        elif suite == "wdvv":
-            if args.n is None:
-                raise _Usage("wdvv requires --n")
-            rd = _rank(args.n)
-            config.update({"n": args.n, "degree": args.degree})
-            # no index quadruple below rank 2, no third-derivative product below degree 3
-            if rd.N >= 2 and args.degree >= 3:
-                pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
-                results.append(wdvv_check(args.n, pot.F, args.degree))
-        elif suite == "euler":
-            if args.n is None:
-                raise _Usage("euler requires --n")
-            rd = _rank(args.n)
-            config.update({"n": args.n, "degree": args.degree})
-            # the potential starts cubic: below degree 3 there is no monomial to weigh
-            if args.degree >= 3:
-                pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
-                results.append(euler_check(args.n, pot.F))
-        elif suite == "wconstraint":
-            if args.n is None:
-                raise _Usage("wconstraint requires --n")
-            config.update({"n": args.n, "degree": args.degree,
-                           "genus": args.genus, "cap": args.cap})
-            rd = _rank(args.n)
-            table = solve_recursion(rd, args.genus, args.degree,
-                                            m_in=args.m_in)
-            for a in range(1, args.n + 1):
-                for m in range(args.m_max + 1):
-                    rep = wconstraint_report(table, a, m, args.cap)
-                    results.append(CheckReport(
-                        claim=f"constraint residual a={a} m={m}",
-                        passed=rep["pass"], witness=rep["residual_terms"] or None))
-        else:
-            raise _Usage(f"unknown suite: {suite}")
-        if not results:
-            raise _Usage(f"suite {suite} has no checks to run for this configuration")
-    except _Usage as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+                    claim=f"constraint residual a={a} m={m}",
+                    passed=rep["pass"], witness=rep["residual_terms"] or None))
+    else:
+        raise _Usage(f"unknown suite: {suite}")
+    if not results:
+        raise _Usage(f"suite {suite} has no checks to run for this configuration")
     report = SuiteReport(suite=suite, config=config, results=results)
     _emit(report.to_json(), args)
     return 0 if report.passed else 1
@@ -260,7 +248,7 @@ def _all_small_tuples(rd: RootData, max_len: int):
 
 
 class _Usage(Exception):
-    pass
+    """A usage error: :func:`main` prints the message and exits with 2."""
 
 
 def _rank(n: int) -> RootData:
@@ -323,7 +311,11 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Usage as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,51 +21,73 @@ generating-function identities in an auxiliary variable Y.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .exactnum import CycScalar, Rat
+from .exactnum import CycScalar
 from .reporting import CheckReport
 from .rootsys import RootData
 from .series import YPoly
 
 
+class _Memo:
+    """What this module keeps for one root system."""
+
+    __slots__ = ("factors", "sym", "bracket")
+
+    def __init__(self):
+        self.factors: list[list[CycScalar]] | None = None
+        self.sym: dict[tuple[int, ...], CycScalar] = {}
+        self.bracket: dict[tuple[int, ...], CycScalar] = {}
+
+
+# keyed weakly, so each memo is dropped together with its RootData
+_MEMOS: "weakref.WeakKeyDictionary[RootData, _Memo]" = weakref.WeakKeyDictionary()
+
+
+def _memo(rd: RootData) -> _Memo:
+    got = _MEMOS.get(rd)
+    if got is None:
+        got = _MEMOS[rd] = _Memo()
+    return got
+
+
 def _factor_table(rd: RootData) -> list[list[CycScalar]]:
     # cfac[j][a] = eta^(-j a) / (1 - eta^j) for 1 <= j <= h-1, 1 <= a <= h-1
-    if rd._cfac is None:
+    memo = _memo(rd)
+    if memo.factors is None:
         table: list[list[CycScalar]] = [[]]
         for j in range(1, rd.h):
             inv = (rd.ctx.one - rd.eta(j)).inv()
             table.append([rd.ctx.zero] + [rd.eta(-j * a) * inv for a in range(1, rd.h)])
-        rd._cfac = table
-    return rd._cfac
+        memo.factors = table
+    return memo.factors
 
 
 def c_const(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
-    """The ordered tuple constant C(a_1, ..., a_r)."""
+    """The ordered tuple constant C(a_1, ..., a_r).
+
+    Not memoised: its callers, the genus-zero multiset weights and the
+    memoised :func:`sym_c`, ask for each ordered tuple once.
+    """
     tup = tuple(tup)
-    got = rd._cc.get(tup)
-    if got is not None:
-        return got
     for a in tup:
         if not 1 <= a <= rd.h - 1:
             raise ValueError(f"tuple entry {a} out of range 1..{rd.h - 1}")
     r = len(tup)
     if r == 0:
-        value = rd.ctx.one
-    elif r > rd.h - 1:
-        value = rd.ctx.zero  # no strictly increasing index tuples exist
-    else:
-        fac = _factor_table(rd)
-        acc = rd.ctx.zero
-        for js in combinations(range(1, rd.h), r):
-            prod = fac[js[0]][tup[0]]
-            for s in range(1, r):
-                prod = prod * fac[js[s]][tup[s]]
-            acc = acc + prod
-        value = acc
-    rd._cc[tup] = value
-    return value
+        return rd.ctx.one
+    if r > rd.h - 1:
+        return rd.ctx.zero  # no strictly increasing index tuples exist
+    fac = _factor_table(rd)
+    acc = rd.ctx.zero
+    for js in combinations(range(1, rd.h), r):
+        prod = fac[js[0]][tup[0]]
+        for s in range(1, r):
+            prod = prod * fac[js[s]][tup[s]]
+        acc = acc + prod
+    return acc
 
 
 def _distinct_permutations(tup: tuple[int, ...]):
@@ -83,7 +105,8 @@ def sym_c(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
     Equals the 1/|Aut|-normalised sum over the full symmetric group.
     """
     key = tuple(sorted(tup))
-    got = rd._sym.get(key)
+    memo = _memo(rd).sym
+    got = memo.get(key)
     if got is not None:
         return got
     if len(key) > rd.h - 1:
@@ -93,7 +116,7 @@ def sym_c(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
         for p in _distinct_permutations(key):
             acc = acc + c_const(rd, p)
         value = acc
-    rd._sym[key] = value
+    memo[key] = value
     return value
 
 
@@ -107,7 +130,8 @@ def c_bracket(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
     for a in tup:
         if not 1 <= a <= rd.N:
             raise ValueError(f"entry {a} out of range 1..{rd.N}")
-    got = rd._cb.get(tup)
+    memo = _memo(rd).bracket
+    got = memo.get(tup)
     if got is not None:
         return got
     if len(tup) > rd.h:
@@ -121,7 +145,7 @@ def c_bracket(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
             rest.remove(v)
             acc = acc + sym_c(rd, tuple(rest))
         value = acc
-    rd._cb[tup] = value
+    memo[tup] = value
     return value
 
 

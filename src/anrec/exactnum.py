@@ -170,6 +170,7 @@ class CycContext:
         return out
 
     def eta_pow(self, k: int) -> "CycScalar":
+        """eta^k reduced modulo Phi_h (k taken mod h)."""
         return self._eta[k % self.h]
 
     def from_rat(self, q) -> "CycScalar":
@@ -374,7 +375,3 @@ def _norm(ctx: CycContext, num: list[int], den: int) -> CycScalar:
             num = [a // g for a in num]
     return _raw(ctx, tuple(num), den)
 
-
-def eta_pow(ctx: CycContext, k: int) -> CycScalar:
-    """eta^k reduced modulo Phi_h (k taken mod h)."""
-    return ctx.eta_pow(k)

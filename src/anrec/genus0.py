@@ -24,7 +24,7 @@ product, which skips every monomial pair whose degrees sum past the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -48,39 +48,18 @@ class WellFoundednessError(RuntimeError):
 class Profile:
     """Input window: which descendant slots are switched on.
 
-    ``m_in`` is the highest active level; every active slot carries its own
-    variable unless ``overrides`` maps it elsewhere.  Overrides must either
-    vanish or have zero constant term; constant specialisations would break
-    the degree bookkeeping the solver relies on.
+    ``m_in`` is the highest active level; every active slot x_{m,a} with
+    m <= m_in carries its own variable, and every higher slot is zero.
+    ``D`` is the degree cap of the solve.
     """
 
     N: int
     m_in: int = 0
     D: int = 6
-    overrides: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for v, poly in self.overrides.items():
-            if not poly.is_zero() and () in poly.terms:
-                raise ValueError(f"override for {v} has a constant term")
 
     def vars(self) -> list[Var]:
         return [Var(m, a) for m in range(self.m_in + 1)
                 for a in range(1, self.N + 1)]
-
-    def assignment(self, v: Var) -> SparsePoly:
-        if v.m > self.m_in:
-            return SparsePoly.zero()
-        got = self.overrides.get(v)
-        return got if got is not None else SparsePoly.variable(v)
-
-    def identity_vars(self) -> list[Var]:
-        return [v for v in self.vars() if v not in self.overrides]
-
-
-def primary_profile(N: int, D: int) -> Profile:
-    """Level-zero window: t_a = x_{0,a} active, all higher levels off."""
-    return Profile(N=N, m_in=0, D=D)
 
 
 def split_n_a0(h: int, a: int, tup: tuple[int, ...]) -> tuple[int, int]:
@@ -90,43 +69,11 @@ def split_n_a0(h: int, a: int, tup: tuple[int, ...]) -> tuple[int, int]:
     return (s - a0) // h, a0
 
 
-def phi0(rd: RootData, profile: Profile, ptable: dict, a: int,
-         tail_max: int | None = None, deg_cap: int | None = None) -> LambdaSeries:
-    """The genus-zero field: input slots at lambda^m, table tails at lambda^(-m-1).
-
-    Only tail levels up to ``tail_max`` are materialised; callers pick the
-    bound from the residue they are about to extract.
-    """
-    if tail_max is None:
-        tail_max = max((v.m for v in ptable), default=-1)
-    getter = _table_getter(ptable)
-    return _phi0(rd, profile, getter, a, tail_max, deg_cap)
-
-
 def _table_getter(ptable: dict):
     def get(m: int, b: int, d: int) -> SparsePoly:
         poly = ptable.get(Var(m, b))
         return poly.homo_part(d) if poly is not None else SparsePoly.zero()
     return get
-
-
-def _phi0(rd: RootData, profile: Profile, get_slice, a: int,
-          tail_max: int, deg_cap: int | None) -> LambdaSeries:
-    terms: dict[int, SparsePoly] = {}
-    for k in range(profile.m_in + 1):
-        poly = profile.assignment(Var(k, a))
-        if deg_cap is not None:
-            poly = poly.up_to_degree(deg_cap)
-        if not poly.is_zero():
-            terms[k * rd.h] = poly
-    for mp in range(tail_max + 1):
-        acc = SparsePoly.zero()
-        top = deg_cap if deg_cap is not None else profile.D
-        for d in range(2, top + 1):
-            acc = acc + get_slice(mp, rd.h - a, d)
-        if not acc.is_zero():
-            terms[-(mp + 1) * rd.h] = acc
-    return LambdaSeries(rd.h, None, terms)
 
 
 class G0Solver:
@@ -238,12 +185,28 @@ class G0Solver:
         return part
 
     def _phi(self, a: int, tail_max: int, deg_cap: int) -> LambdaSeries:
+        """The genus-zero field: input slots at lambda^m, table tails at lambda^(-m-1).
+
+        Only tail levels up to ``tail_max`` and degrees up to ``deg_cap`` are
+        formed; callers pick both from the residue they are about to extract.
+        """
         # slices are write-once, so a field built from them never changes
         key = (a, tail_max, deg_cap)
         got = self._fields.get(key)
-        if got is None:
-            got = self._fields[key] = _phi0(self.rd, self.profile, self.p_slice,
-                                            a, tail_max, deg_cap)
+        if got is not None:
+            return got
+        h = self.rd.h
+        terms: dict[int, SparsePoly] = {}
+        if deg_cap >= 1:  # an input slot is a variable, of degree 1
+            for k in range(self.profile.m_in + 1):
+                terms[k * h] = SparsePoly.variable(Var(k, a))
+        for mp in range(tail_max + 1):
+            acc = SparsePoly.zero()
+            for d in range(2, deg_cap + 1):
+                acc = acc + self.p_slice(mp, h - a, d)
+            if not acc.is_zero():
+                terms[-(mp + 1) * h] = acc
+        got = self._fields[key] = LambdaSeries(h, None, terms)
         return got
 
     # -- outputs ---------------------------------------------------------------
@@ -264,7 +227,7 @@ class G0Solver:
         acc = SparsePoly.zero()
         for d in range(3, self.profile.D + 1):
             part = SparsePoly.zero()
-            for v in self.profile.identity_vars():
+            for v in self.profile.vars():
                 sl = self.p_slice(v.m, v.a, d - 1)
                 if not sl.is_zero():
                     part = part + (SparsePoly.variable(v) * sl).scale(
@@ -275,7 +238,7 @@ class G0Solver:
     def exactness_report(self) -> CheckReport:
         """Mixed partials of the table must agree across all tracked pairs."""
         h = self.rd.h
-        vs = self.profile.identity_vars()
+        vs = self.profile.vars()
         for i, v in enumerate(vs):
             pv = self.p_poly(v.m, v.a).scale(Fraction(1, norm_factor(h, v.m, v.a)))
             for w in vs[i + 1:]:
@@ -336,7 +299,7 @@ def solve(rd: RootData, profile: Profile, m_out: int = 0) -> PotentialG0:
     checks = {"exactness": solver.exactness_report()}
     if not checks["exactness"].passed:
         raise WellFoundednessError("mixed partials disagree; table is inconsistent")
-    if profile.m_in == 0 and not profile.overrides:
+    if profile.m_in == 0:
         checks["wdvv"] = wdvv_check(rd.N, F, profile.D)
         checks["euler"] = euler_check(rd.N, F)
     return PotentialG0(rd=rd, profile=profile, F=F, ptable=ptable, checks=checks)

@@ -46,7 +46,7 @@ from .exactnum import CycContext, CycScalar
 from .genus0 import Profile, WellFoundednessError, norm_factor
 from .reporting import CheckReport
 from .rootsys import RootData, divided_difference
-from .series import LambdaSeries, SparsePoly, Var
+from .series import SparsePoly, Var
 
 
 class ConsistencyError(RuntimeError):
@@ -472,35 +472,6 @@ class DescendantSolver:
                 yield scalar * factor, poly
 
     # -- exposed evaluations ------------------------------------------------------
-
-    def omega(self, labels: tuple[int, ...], g: int, deg_cap: int) -> LambdaSeries:
-        """The genus-g multi-field correlator as a Laurent object.
-
-        The lambda-window scan uses the descendant level growth bound: a
-        free-energy monomial with s slots at genus g has total level at most
-        3g - 3 + s, so slots below the window cannot carry nonzero slices at
-        the requested degree.  Two sentinel slots beyond the window are
-        checked to be empty.
-        """
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("field labels must be distinct")
-        h = self.rd.h
-        n = len(labels)
-        q_hi = n * max(self.m_in * h, 1)
-        depth = 3 * g + deg_cap + n + 2
-        q_lo = -n * ((depth + 1) * h + self.rd.N) - 2 * h * (n // 2)
-        slots = tuple(("chi", l) for l in labels)
-        out: dict[int, SparsePoly] = {}
-        for q in range(q_lo - 2 * h, q_hi + 1):
-            total = _weighted_sum(self.rd.ctx, (
-                part for d in range(deg_cap + 1)
-                for part in self._cluster(slots, g, (), q, d, False)))
-            if not total.is_zero():
-                if q < q_lo:
-                    raise ConsistencyError("level growth bound violated in omega scan")
-                out[q] = total.demote()
-        return LambdaSeries(h, None, out)
 
     def constraint_residual(self, a: int, m: int, cap: int, genus_cap: int,
                             basis: str = "chi") -> dict[int, SparsePoly]:

@@ -12,15 +12,20 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .exactnum import CycContext, CycScalar, Rat, cyc_context
+from .exactnum import CycScalar, cyc_context
 
 HVector = tuple  # gamma-coefficients, index a-1 for a = 1..N
 
 
 class RootData:
-    """Rank, Coxeter number h = N + 1, cyclotomic context, and caches."""
+    """Rank, Coxeter number h = N + 1 and cyclotomic context.
 
-    __slots__ = ("N", "h", "ctx", "_cc", "_sym", "_cb", "_cfac")
+    Holds no caches.  Modules that memoise per root system key their tables
+    weakly by the instance, so a table lives exactly as long as its
+    ``RootData``.
+    """
+
+    __slots__ = ("N", "h", "ctx", "__weakref__")
 
     def __init__(self, N: int):
         if N < 1:
@@ -28,10 +33,6 @@ class RootData:
         self.N = N
         self.h = N + 1
         self.ctx = cyc_context(self.h)
-        self._cc: dict = {}      # c_const cache
-        self._sym: dict = {}     # sym_c cache
-        self._cb: dict = {}      # c_bracket cache
-        self._cfac: list | None = None
 
     def eta(self, k: int) -> CycScalar:
         return self.ctx.eta_pow(k)

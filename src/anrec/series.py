@@ -15,7 +15,6 @@ from typing import Iterable, NamedTuple, Union
 from .exactnum import (
     CycContext,
     CycScalar,
-    NotRationalError,
     Rat,
     parse_rat,
     rat_str,
@@ -312,31 +311,11 @@ class LambdaSeries:
         self.domain = domain
         self.terms = {q: p for q, p in terms.items() if not p.is_zero()}
 
-    @staticmethod
-    def zero(h: int, domain: Domain = None) -> "LambdaSeries":
-        return LambdaSeries(h, domain, {})
-
-    @staticmethod
-    def monomial(h: int, q: int, poly: SparsePoly) -> "LambdaSeries":
-        return LambdaSeries(h, poly.domain, {q: poly})
-
     def _chk(self, other: "LambdaSeries") -> None:
         if self.h != other.h:
             raise DomainMismatchError("lambda-series with different h")
         if self.domain is not other.domain:
             raise DomainMismatchError("lambda-series over different scalar domains")
-
-    def __add__(self, other: "LambdaSeries") -> "LambdaSeries":
-        self._chk(other)
-        terms = dict(self.terms)
-        for q, p in other.terms.items():
-            s = terms.get(q)
-            s = p if s is None else s + p
-            if s.is_zero():
-                terms.pop(q, None)
-            else:
-                terms[q] = s
-        return LambdaSeries(self.h, self.domain, terms)
 
     def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
         return self.mul_capped(other)
@@ -367,19 +346,8 @@ class LambdaSeries:
                     terms[q] = s
         return LambdaSeries(self.h, self.domain, terms)
 
-    def shift(self, dq: int) -> "LambdaSeries":
-        return LambdaSeries(self.h, self.domain, {q + dq: p for q, p in self.terms.items()})
-
-    def scale(self, c: Scalar) -> "LambdaSeries":
-        return LambdaSeries(self.h, self.domain,
-                            {q: p.scale(c) for q, p in self.terms.items()})
-
     def coefficient(self, q: int) -> SparsePoly:
         return self.terms.get(q, SparsePoly.zero(self.domain))
-
-    def residue(self) -> SparsePoly:
-        """Coefficient of lambda^(-1)."""
-        return self.coefficient(-self.h)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -423,19 +391,12 @@ class YPoly:
         c = ctx.one if c is None else c
         return YPoly(ctx, [ctx.zero] * k + [c])
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def coeff(self, k: int) -> CycScalar:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.ctx.zero
 
     def __add__(self, other: "YPoly") -> "YPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return YPoly(self.ctx, [self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    def __sub__(self, other: "YPoly") -> "YPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return YPoly(self.ctx, [self.coeff(k) - other.coeff(k) for k in range(n)])
 
     def __mul__(self, other: "YPoly") -> "YPoly":
         if not self.coeffs or not other.coeffs:
@@ -452,12 +413,6 @@ class YPoly:
 
     def truncate(self, deg: int) -> "YPoly":
         return YPoly(self.ctx, self.coeffs[: deg + 1])
-
-    def eval_at_one(self) -> CycScalar:
-        out = self.ctx.zero
-        for c in self.coeffs:
-            out = out + c
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, YPoly):

@@ -136,6 +136,32 @@ def test_report_written_to_file(tmp_path, capsys):
     assert data["pass"]
 
 
+def test_constants_text_written_to_file(tmp_path, capsys):
+    path = tmp_path / "constants.txt"
+    _, printed, _ = run(capsys, "constants", "--h", "4", "--tuple", "1,2")
+    code, out, _ = run(capsys, "constants", "--h", "4", "--tuple", "1,2",
+                       "--out", str(path))
+    assert code == 0
+    assert out == ""
+    assert path.read_text() == printed
+    assert "SymC(1,2) = 1" in printed
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "remove-n", "--h", "3", "--trials", "2"),
+    ("constants", "--h", "4", "--tuple", "1,2"),
+    ("potential", "--n", "1", "--degree", "3", "--format", "json"),
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "y"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write --out {path}" in err
+    assert "Traceback" not in err
+    assert not path.exists()
+
+
 def test_frontier_potential_content_hash(capsys):
     # the slowest (N, genus, degree) point of the table tests: its bytes are
     # pinned so that a faster cluster expansion must reproduce them exactly
@@ -194,6 +220,9 @@ def test_genus0_potential_content_hash(capsys, argv, digest):
     (("verify", "wconstraint", "--n", "2", "--cap", "-1"), "--cap"),
     (("verify", "wconstraint", "--n", "2", "--m-max", "-1"), "--m-max"),
     (("verify", "wdvv", "--n", "2", "--degree", "-2"), "--degree"),
+    (("constants",), "constants requires --h"),
+    (("potential",), "potential requires --n"),
+    (("constants", "--h", "4", "--tuple", "9"), "bad tuple"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

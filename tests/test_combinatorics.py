@@ -1,11 +1,14 @@
 """Tuple-constant tests: golden values, symmetrisation, identity verifiers."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
+from anrec import combinatorics
 from anrec.combinatorics import (
     c_bracket,
     c_const,
@@ -124,7 +127,7 @@ def test_symc_generating_y_at_one():
     from anrec.series import YPoly
     from anrec.exactnum import CycScalar
     lhs = YPoly(rd.ctx, [CycScalar.from_json(c) for c in rep.lhs])
-    assert lhs.eval_at_one() == sym_c(rd, (1, 2))
+    assert sum(lhs.coeffs, rd.ctx.zero) == sym_c(rd, (1, 2))
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -146,3 +149,24 @@ def test_report_shape():
 def test_constant_approx_diagnostic(rd4):
     # numeric cross-check of an exact value; diagnostics only
     assert abs(c_const(rd4, (1, 2)).approx(10) - 0.5) < 1e-10
+
+
+def test_memos_live_and_die_with_their_root_data():
+    rd = RootData(3)
+    first = (sym_c(rd, (1, 2)), c_bracket(rd, (1, 3)))
+    memo = combinatorics._MEMOS[rd]
+    assert memo.sym and memo.bracket and memo.factors is not None
+    ref = weakref.ref(rd)
+    del rd
+    gc.collect()
+    # the memo does not keep its root system alive, and goes with it
+    assert ref() is None
+    assert all(other is not memo for other in combinatorics._MEMOS.values())
+    # a new root system of the same rank starts cold and agrees
+    fresh = RootData(3)
+    assert fresh not in combinatorics._MEMOS
+    assert (sym_c(fresh, (1, 2)), c_bracket(fresh, (1, 3))) == first
+
+
+def test_root_data_carries_no_cache():
+    assert vars(RootData)["__slots__"] == ("N", "h", "ctx", "__weakref__")

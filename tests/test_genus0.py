@@ -10,8 +10,6 @@ from anrec.genus0 import (
     G0Solver,
     Profile,
     euler_check,
-    phi0,
-    primary_profile,
     rhs_residue,
     solve,
     split_n_a0,
@@ -80,14 +78,15 @@ def test_a2_matches_unfolding_oracle():
 
 def test_phi0_primary_shape():
     rd = RootData(3)
-    profile = primary_profile(3, 5)
+    profile = Profile(3, 0, 5)
     pot = solve(rd, profile)
+    frozen = G0Solver(rd, profile, frozen_table=pot.ptable)
     for a in (1, 2, 3):
-        series = phi0(rd, profile, pot.ptable, a)
+        series = frozen._phi(a, 0, profile.D)
         assert series.coefficient(0) == x(0, a)
         assert series.coefficient(-rd.h) == pot.ptable[Var(0, rd.h - a)]
     # empty table leaves the pure input part
-    bare = phi0(rd, profile, {}, 2)
+    bare = G0Solver(rd, profile, frozen_table={})._phi(2, 0, profile.D)
     assert list(bare.terms) == [0]
 
 
@@ -156,7 +155,7 @@ def _brute_sym_c(ctx, h, mu):
 @pytest.mark.parametrize("h", [2, 3, 4, 5, 6])
 def test_multiset_weights_are_symc(h):
     rd = RootData(h - 1)
-    weights = G0Solver(rd, primary_profile(h - 1, 3)).multiset_weights()
+    weights = G0Solver(rd, Profile(h - 1, 0, 3)).multiset_weights()
     seen = 0
     for r in range(1, h):
         for mu in combinations_with_replacement(range(1, h), r):
@@ -209,20 +208,6 @@ def test_euler_weights_of_golden_monomials(a3_potential):
 def test_wdvv_vacuous_for_rank_one():
     pot = solve(RootData(1), Profile(N=1, m_in=0, D=5))
     assert wdvv_check(1, pot.F, 5).passed
-
-
-def test_profile_rejects_constant_override():
-    with pytest.raises(ValueError):
-        Profile(N=2, m_in=0, D=4,
-                overrides={Var(0, 1): SparsePoly.constant(Fraction(1))})
-
-
-def test_zero_override_shrinks_potential():
-    profile = Profile(N=2, m_in=0, D=4,
-                      overrides={Var(0, 2): SparsePoly.zero()})
-    pot = solve(RootData(2), profile)
-    assert pot.F == (x(0, 1) ** 4).scale(Fraction(-1, 24))
-    assert Var(0, 2) not in {v for mono in pot.F.terms for v, _ in mono}
 
 
 def test_potential_json_round_trip(a3_potential):

@@ -85,37 +85,6 @@ def test_wick_term_counts(r):
 
 # -- correlators ---------------------------------------------------------------
 
-def test_omega_two_fields_genus0_is_input_square():
-    # at degree <= 2 only the input parts of both fields survive
-    rd = RootData(1)
-    s = DescendantSolver(rd, m_in=0)
-    om = s.omega((1, 2), 0, 2)
-    assert list(om.terms) == [-2]
-    assert om.coefficient(-2) == (x(0, 1) * x(0, 1)).scale(-1)
-
-
-def test_omega_propagator_enters_one_genus_up():
-    rd = RootData(1)
-    s = DescendantSolver(rd, m_in=0)
-    om1 = s.omega((1, 2), 1, 0)
-    # the pure pairing term sits at lambda^(-2), genus one, degree zero
-    assert om1.coefficient(-4) == SparsePoly.constant(Fraction(-1, 4))
-
-
-def test_omega_cross_checks_against_genus0_engine():
-    # field product structure: - lambda^(-1) (t + sum p_m lambda^(-m-1))^2
-    rd = RootData(1)
-    s = DescendantSolver(rd, m_in=0)
-    om = s.omega((1, 2), 0, 4)
-    pot = solve(rd, Profile(N=1, m_in=0, D=5), m_out=3)
-    t = x(0, 1)
-    p = {m: pot.ptable[Var(m, 1)] for m in range(4)}
-    # coefficient at lambda^(-1): 2 t p_0
-    assert om.coefficient(-4) == (t * p[0]).scale(-2)
-    # coefficient at lambda^(-2): 2 t p_1 + p_0^2
-    assert om.coefficient(-6) == ((t * p[1]).scale(2) + p[0] * p[0]).scale(-1)
-
-
 def test_w_slices_match_genus0_engine():
     from anrec.genus0 import norm_factor
     for N in (1, 2, 3):
