@@ -8,7 +8,7 @@ constraints.
 
 from .exactnum import CycContext, CycScalar, NotRationalError, Rat, cyc_context, cyclotomic_poly
 from .series import LambdaSeries, SparsePoly, Var, YPoly
-from .rootsys import RootData, SymState, cbracket_state, chi, elem_sym_state, pairing, vandermonde_coeff
+from .rootsys import RootData, SymState, cbracket_state, elem_sym_state, vandermonde_coeff
 from .combinatorics import (
     c_bracket,
     c_const,
@@ -17,7 +17,7 @@ from .combinatorics import (
     verify_remove_n,
     verify_symc_generating,
 )
-from .genus0 import PotentialG0, Profile, euler_check, rhs_residue, solve, split_n_a0, wdvv_check
+from .genus0 import PotentialG0, Profile, euler_check, solve, split_n_a0, wdvv_check
 from .recursion import DescendantSolver, PotentialTable, propagator, solve_recursion, w_residual
 
 __version__ = "0.1.0"

@@ -12,8 +12,10 @@ consistency error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import random
 import sys
 from itertools import product as iproduct
@@ -57,6 +59,25 @@ def _write(text: str, args) -> None:
             fh.write(text + "\n")
     except OSError as exc:
         raise _Usage(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+
+
+def _check_out(path: str) -> None:
+    """Fail an --out that cannot be opened for writing before any work runs.
+
+    Only the path and its folder are inspected, so no file is created; the
+    message is the one :func:`_write` would give after the work.
+    """
+    folder = os.path.dirname(path) or "."
+    try:
+        if not os.path.isdir(folder):
+            os.stat(folder)  # a missing folder raises open()'s error
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise _Usage(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def _as_text(payload: dict) -> str:
@@ -145,26 +166,31 @@ def _random_remove_n_cases(rd: RootData, trials: int, rng: random.Random):
         yield b, m
 
 
+# the option that carries each suite's rank: --h is the Coxeter number N + 1
+_RANK_OPTION = {"remove-n": "h", "symstate": "h", "vandermonde": "h",
+                "symc-gen": "h", "cbracket-gen": "h",
+                "wdvv": "n", "euler": "n", "wconstraint": "n"}
+
+
 def cmd_verify(args) -> int:
     suite = args.suite
+    option = _RANK_OPTION.get(suite)
+    if option is None:
+        raise _Usage(f"unknown suite: {suite}")
+    value = getattr(args, option)
+    if value is None:
+        raise _Usage(f"{suite} requires --{option}")
+    rd = _rank(value - 1 if option == "h" else value)
     rng = random.Random(args.seed)
     config = {"suite": suite, "seed": args.seed, "trials": args.trials,
-              "prng": PRNG_NAME}
+              "prng": PRNG_NAME, option: value}
     results = []
     if suite == "remove-n":
-        if args.h is None:
-            raise _Usage("remove-n requires --h")
-        rd = _rank(args.h - 1)
         if rd.N < 2:
             raise _Usage("remove-n requires h >= 3")
-        config["h"] = rd.h
         for b, m in _random_remove_n_cases(rd, args.trials, rng):
             results.append(verify_remove_n(rd, b, m))
     elif suite == "symstate":
-        if args.h is None:
-            raise _Usage("symstate requires --h")
-        rd = _rank(args.h - 1)
-        config["h"] = rd.h
         e1 = elem_sym_state(rd, 1)
         results.append(CheckReport(claim=f"e1 state vanishes h={rd.h}",
                                    passed=e1.is_zero()))
@@ -174,10 +200,6 @@ def cmd_verify(args) -> int:
                 claim=f"bracket state equals elementary state h={rd.h} r={r}",
                 passed=same))
     elif suite == "vandermonde":
-        if args.h is None:
-            raise _Usage("vandermonde requires --h")
-        rd = _rank(args.h - 1)
-        config["h"] = rd.h
         for _ in range(args.trials):
             r = rng.randint(1, rd.h)
             idx = tuple(sorted(rng.sample(range(1, rd.h + 1), r)))
@@ -186,43 +208,25 @@ def cmd_verify(args) -> int:
                 claim=f"vandermonde h={rd.h} idx={list(idx)}",
                 passed=val == rd.ctx.one, lhs=val.to_json()))
     elif suite == "symc-gen":
-        if args.h is None:
-            raise _Usage("symc-gen requires --h")
-        rd = _rank(args.h - 1)
-        config["h"] = rd.h
         for tup in _all_small_tuples(rd, 3):
             results.append(verify_symc_generating(rd, tup))
     elif suite == "cbracket-gen":
-        if args.h is None:
-            raise _Usage("cbracket-gen requires --h")
-        rd = _rank(args.h - 1)
-        config["h"] = rd.h
         for tup in _all_small_tuples(rd, 3):
             results.append(verify_cbracket_generating(rd, tup))
     elif suite == "wdvv":
-        if args.n is None:
-            raise _Usage("wdvv requires --n")
-        rd = _rank(args.n)
-        config.update({"n": args.n, "degree": args.degree})
+        config["degree"] = args.degree
         # no index quadruple below rank 2, no third-derivative product below degree 3
         if rd.N >= 2 and args.degree >= 3:
             pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
             results.append(wdvv_check(args.n, pot.F, args.degree))
     elif suite == "euler":
-        if args.n is None:
-            raise _Usage("euler requires --n")
-        rd = _rank(args.n)
-        config.update({"n": args.n, "degree": args.degree})
+        config["degree"] = args.degree
         # the potential starts cubic: below degree 3 there is no monomial to weigh
         if args.degree >= 3:
             pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
             results.append(euler_check(args.n, pot.F))
     elif suite == "wconstraint":
-        if args.n is None:
-            raise _Usage("wconstraint requires --n")
-        config.update({"n": args.n, "degree": args.degree,
-                       "genus": args.genus, "cap": args.cap})
-        rd = _rank(args.n)
+        config.update({"degree": args.degree, "genus": args.genus, "cap": args.cap})
         table = solve_recursion(rd, args.genus, args.degree, m_in=args.m_in)
         for a in range(1, args.n + 1):
             for m in range(args.m_max + 1):
@@ -230,8 +234,6 @@ def cmd_verify(args) -> int:
                 results.append(CheckReport(
                     claim=f"constraint residual a={a} m={m}",
                     passed=rep["pass"], witness=rep["residual_terms"] or None))
-    else:
-        raise _Usage(f"unknown suite: {suite}")
     if not results:
         raise _Usage(f"suite {suite} has no checks to run for this configuration")
     report = SuiteReport(suite=suite, config=config, results=results)
@@ -312,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except _Usage as exc:
         print(str(exc), file=sys.stderr)

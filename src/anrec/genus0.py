@@ -3,9 +3,11 @@
 The recursion determines p_{m,a} degree slice by degree slice: every
 right-hand-side term is a product of at least two field factors, each of
 degree >= 1, so a degree-d slice only consumes strictly lower slices.  The
-potential is integrated back from the table with an exactness check on the
-mixed partials, and the primary potential is stamped with associativity
-(WDVV) and Euler-homogeneity reports.
+potential is integrated back from the one-point slices dF/dx_{m,a} =
+p_{m,a} / (-a + (m+1)h) with an exactness check on the mixed partials; the
+higher-genus engine assembles its free energies with the same two functions,
+:func:`euler_potential` and :func:`mixed_partials`.  The primary potential
+is stamped with associativity (WDVV) and Euler-homogeneity reports.
 
 All intermediate arithmetic happens in Q(eta); each finished slice is
 demoted to Q, which fails loudly if any eta-part survives.
@@ -32,7 +34,7 @@ from .combinatorics import c_const
 from .exactnum import CycScalar, Rat, rat_str
 from .reporting import CheckReport
 from .rootsys import RootData
-from .series import LambdaSeries, SparsePoly, Var
+from .series import LambdaSeries, SparsePoly, Var, weighted_sum
 
 
 def norm_factor(h: int, m: int, a: int) -> int:
@@ -69,27 +71,14 @@ def split_n_a0(h: int, a: int, tup: tuple[int, ...]) -> tuple[int, int]:
     return (s - a0) // h, a0
 
 
-def _table_getter(ptable: dict):
-    def get(m: int, b: int, d: int) -> SparsePoly:
-        poly = ptable.get(Var(m, b))
-        return poly.homo_part(d) if poly is not None else SparsePoly.zero()
-    return get
-
-
 class G0Solver:
-    """Memoised slice-by-slice solver for the genus-zero recursion.
+    """Memoised slice-by-slice solver for the genus-zero recursion."""
 
-    With ``frozen_table`` the solver stops recursing and reads every slice
-    from the supplied table instead, which is how a finished table is
-    re-checked against the recursion's right side.
-    """
-
-    def __init__(self, rd: RootData, profile: Profile, frozen_table: dict | None = None):
+    def __init__(self, rd: RootData, profile: Profile):
         if rd.N != profile.N:
             raise ValueError("profile rank does not match root data")
         self.rd = rd
         self.profile = profile
-        self._frozen = _table_getter(frozen_table) if frozen_table is not None else None
         self._slices: dict[tuple[int, int, int], SparsePoly] = {}
         self._stack: set[tuple[int, int, int]] = set()
         self._products: dict = {}
@@ -102,8 +91,6 @@ class G0Solver:
         """Degree-d homogeneous slice of p_{m,a}, over Q."""
         if d < 2:
             return SparsePoly.zero()
-        if self._frozen is not None:
-            return self._frozen(m, a, d)
         key = (m, a, d)
         got = self._slices.get(key)
         if got is not None:
@@ -141,7 +128,7 @@ class G0Solver:
         # through its multiset, so the ordered sum of C collapses to SymC
         rd = self.rd
         h = rd.h
-        acc = SparsePoly.zero(rd.ctx)
+        parts = []
         for mu, weight in self.multiset_weights().items():
             n, a0 = split_n_a0(h, a, mu)
             if a0 == 0:
@@ -150,11 +137,8 @@ class G0Solver:
             # one tail at level m' needs -(m'+1)h >= -(m+n+2)h - r*m_in*h
             tail_max = m + n + 1 + r * self.profile.m_in
             # residue of (product * lambda^(m+n+1))
-            part = self._slot_product((a0,) + mu, tail_max, d - r, d)
-            if part.is_zero():
-                continue
-            acc = acc + part.lift(rd.ctx).scale(weight)
-        return (-acc).demote()
+            parts.append((weight, self._slot_product((a0,) + mu, tail_max, d - r, d)))
+        return (-weighted_sum(rd.ctx, parts)).demote()
 
     def _slot_product(self, slots: tuple[int, ...], tail_max: int,
                       factor_cap: int, prod_cap: int) -> SparsePoly:
@@ -217,41 +201,6 @@ class G0Solver:
             acc = acc + self.p_slice(m, a, d)
         return acc
 
-    def integrate(self) -> SparsePoly:
-        """Assemble the potential from its Euler decomposition.
-
-        Homogeneous of degree d: F_d = (1/d) sum_v x_v dF/dx_v.  Valid
-        because every tracked slot carries its own variable.
-        """
-        h = self.rd.h
-        acc = SparsePoly.zero()
-        for d in range(3, self.profile.D + 1):
-            part = SparsePoly.zero()
-            for v in self.profile.vars():
-                sl = self.p_slice(v.m, v.a, d - 1)
-                if not sl.is_zero():
-                    part = part + (SparsePoly.variable(v) * sl).scale(
-                        Fraction(1, norm_factor(h, v.m, v.a)))
-            acc = acc + part.scale(Fraction(1, d))
-        return acc
-
-    def exactness_report(self) -> CheckReport:
-        """Mixed partials of the table must agree across all tracked pairs."""
-        h = self.rd.h
-        vs = self.profile.vars()
-        for i, v in enumerate(vs):
-            pv = self.p_poly(v.m, v.a).scale(Fraction(1, norm_factor(h, v.m, v.a)))
-            for w in vs[i + 1:]:
-                pw = self.p_poly(w.m, w.a).scale(Fraction(1, norm_factor(h, w.m, w.a)))
-                left = pv.diff(w).up_to_degree(self.profile.D - 2)
-                right = pw.diff(v).up_to_degree(self.profile.D - 2)
-                if left != right:
-                    return CheckReport(
-                        claim="mixed-partials", passed=False,
-                        witness={"pair": [list(v), list(w)]},
-                        lhs=left.to_json(), rhs=right.to_json())
-        return CheckReport(claim="mixed-partials", passed=True)
-
 
 @dataclass
 class PotentialG0:
@@ -277,17 +226,6 @@ class PotentialG0:
         }
 
 
-def rhs_residue(rd: RootData, profile: Profile, ptable: dict,
-                m: int, a: int, d: int) -> SparsePoly:
-    """Degree-d slice of the recursion's right side, read from a finished table.
-
-    Requires the table to be complete for degrees below d; coefficients are
-    demoted to Q and a surviving eta-part raises.
-    """
-    solver = G0Solver(rd, profile, frozen_table=ptable)
-    return solver._rhs(m, a, d)
-
-
 def solve(rd: RootData, profile: Profile, m_out: int = 0) -> PotentialG0:
     """Run the recursion up to the profile's degree cap and integrate."""
     solver = G0Solver(rd, profile)
@@ -295,14 +233,61 @@ def solve(rd: RootData, profile: Profile, m_out: int = 0) -> PotentialG0:
     for m in range(max(m_out, profile.m_in) + 1):
         for a in range(1, rd.N + 1):
             ptable[Var(m, a)] = solver.p_poly(m, a)
-    F = solver.integrate()
-    checks = {"exactness": solver.exactness_report()}
+    vs = profile.vars()
+
+    def one_point(v: Var, d: int) -> SparsePoly:
+        return solver.p_slice(v.m, v.a, d).scale(
+            Fraction(1, norm_factor(rd.h, v.m, v.a)))
+
+    F = euler_potential(vs, one_point, profile.D)
+    checks = {"exactness": mixed_partials(vs, one_point, profile.D, "mixed-partials")}
     if not checks["exactness"].passed:
         raise WellFoundednessError("mixed partials disagree; table is inconsistent")
     if profile.m_in == 0:
         checks["wdvv"] = wdvv_check(rd.N, F, profile.D)
         checks["euler"] = euler_check(rd.N, F)
     return PotentialG0(rd=rd, profile=profile, F=F, ptable=ptable, checks=checks)
+
+
+# ---------------------------------------------------------------------------
+# Potential assembly from one-point slices, shared by both engines.
+# ---------------------------------------------------------------------------
+
+def euler_potential(vs: list[Var], one_point, deg_cap: int) -> SparsePoly:
+    """The potential through degree ``deg_cap`` from its one-point slices.
+
+    ``one_point(v, d)`` is the degree-d slice of dF/dx_v.  Homogeneous of
+    degree d: F_d = (1/d) sum_v x_v dF/dx_v, valid because every variable in
+    ``vs`` carries its own slot; F has no constant term.
+    """
+    acc = SparsePoly.zero()
+    for d in range(1, deg_cap + 1):
+        part = SparsePoly.zero()
+        for v in vs:
+            sl = one_point(v, d - 1)
+            if not sl.is_zero():
+                part = part + SparsePoly.variable(v) * sl
+        acc = acc + part.scale(Fraction(1, d))
+    return acc
+
+
+def mixed_partials(vs: list[Var], one_point, deg_cap: int, claim: str) -> CheckReport:
+    """One-point slices are the gradient of one potential: their mixed partials agree.
+
+    Every pair of variables in ``vs`` is compared slice by slice through
+    degree ``deg_cap - 2``; a failure names the pair and the degree.
+    """
+    for i, v in enumerate(vs):
+        for w in vs[i + 1:]:
+            for d in range(deg_cap - 1):
+                left = one_point(v, d + 1).diff(w)
+                right = one_point(w, d + 1).diff(v)
+                if left != right:
+                    return CheckReport(
+                        claim=claim, passed=False,
+                        witness={"pair": [list(v), list(w)], "degree": d},
+                        lhs=left.to_json(), rhs=right.to_json())
+    return CheckReport(claim=claim, passed=True)
 
 
 # ---------------------------------------------------------------------------

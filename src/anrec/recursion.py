@@ -42,11 +42,10 @@ from itertools import product as iproduct
 
 from . import genus0
 from .combinatorics import c_bracket
-from .exactnum import CycContext, CycScalar
-from .genus0 import Profile, WellFoundednessError, norm_factor
-from .reporting import CheckReport
+from .exactnum import CycScalar
+from .genus0 import Profile, WellFoundednessError, euler_potential, mixed_partials, norm_factor
 from .rootsys import RootData, divided_difference
-from .series import SparsePoly, Var
+from .series import SparsePoly, Var, weighted_sum
 
 
 class ConsistencyError(RuntimeError):
@@ -160,12 +159,6 @@ def _input_monomial(vs: list[Var]) -> SparsePoly:
     return SparsePoly(None, {tuple(sorted(Counter(vs).items())): Fraction(1)})
 
 
-def _weighted_sum(ctx: CycContext, parts) -> SparsePoly:
-    """sum of scalar * poly over the (scalar, rational poly) pairs ``parts``."""
-    return SparsePoly.from_terms(ctx, ((mono, s * c) for s, poly in parts
-                                       for mono, c in poly.terms.items()))
-
-
 # Slot descriptors for the two field bases.
 # ('chi', label) expands over all flat indices with eta weights;
 # ('gamma', b) is a fixed flat index with unit weight.
@@ -252,7 +245,7 @@ class DescendantSolver:
                     for scalar, poly in self._cluster(slots, g, ext, q_target, d, False):
                         yield ks * scalar, poly
 
-        total = _weighted_sum(rd.ctx, parts()).scale(Fraction(-1, h)).demote()
+        total = weighted_sum(rd.ctx, parts()).scale(Fraction(-1, h)).demote()
         return total.scale(Fraction(1, norm_factor(h, m, a)))
 
     # -- the cluster expansion ---------------------------------------------------
@@ -490,7 +483,7 @@ class DescendantSolver:
         q_target = -h - m * h
         out: dict[int, SparsePoly] = {}
         for g in range(genus_cap + 1):
-            out[g] = _weighted_sum(rd.ctx, (
+            out[g] = weighted_sum(rd.ctx, (
                 (coeff * scalar, poly)
                 for coeff, members in self._state_slots(r, basis)
                 for d in range(cap + 1)
@@ -521,50 +514,6 @@ class DescendantSolver:
         current = self.w_slice(g, dirs, d)
         self._w[(g, dirs, d)] = current + delta
 
-    # -- table assembly --------------------------------------------------------
-
-    def tracked_vars(self) -> list[Var]:
-        return [Var(k, b) for k in range(self.m_in + 1)
-                for b in range(1, self.rd.N + 1)]
-
-    def assemble_potential(self, g: int, deg_cap: int) -> SparsePoly:
-        """Integrate the one-point slices into the genus-g free energy.
-
-        Uses the Euler decomposition F_d = (1/d) sum_v x_v dF/dx_v, valid
-        because every tracked slot is its own variable.  Genus zero starts
-        at degree three; the degree-one and two slices are asserted empty.
-        """
-        acc = SparsePoly.zero()
-        start = 3 if g == 0 else 1
-        if g == 0:
-            for v in self.tracked_vars():
-                for d in (0, 1):
-                    if not self.w_slice(0, (v,), d).is_zero():
-                        raise ConsistencyError(
-                            "genus-zero one-point slice below degree 2")
-        for d in range(start, deg_cap + 1):
-            part = SparsePoly.zero()
-            for v in self.tracked_vars():
-                sl = self.w_slice(g, (v,), d - 1)
-                if not sl.is_zero():
-                    part = part + SparsePoly.variable(v) * sl
-            acc = acc + part.scale(Fraction(1, d))
-        return acc
-
-    def exactness_report(self, g: int, deg_cap: int) -> CheckReport:
-        vs = self.tracked_vars()
-        for i, v in enumerate(vs):
-            for w in vs[i + 1:]:
-                for d in range(0, deg_cap - 1):
-                    left = self.w_slice(g, (v,), d + 1).diff(w)
-                    right = self.w_slice(g, (w,), d + 1).diff(v)
-                    if left != right:
-                        return CheckReport(
-                            claim=f"mixed-partials g={g}", passed=False,
-                            witness={"pair": [list(v), list(w)], "degree": d},
-                            lhs=left.to_json(), rhs=right.to_json())
-        return CheckReport(claim=f"mixed-partials g={g}", passed=True)
-
 
 @dataclass
 class PotentialTable:
@@ -594,7 +543,7 @@ class PotentialTable:
 
 
 def solve_recursion(rd: RootData, genus_cap: int, degree_cap: int,
-                    m_in: int = 0, cross_check: bool = True) -> PotentialTable:
+                    m_in: int = 0) -> PotentialTable:
     """Fill the free energies genus by genus from the residue recursion.
 
     The degree cap drops by two per genus.  At genus zero the result is
@@ -604,24 +553,26 @@ def solve_recursion(rd: RootData, genus_cap: int, degree_cap: int,
     if genus_cap < 0:
         raise ValueError(f"genus cap must be >= 0, got {genus_cap}")
     solver = DescendantSolver(rd, m_in=m_in)
+    vs = Profile(N=rd.N, m_in=m_in).vars()
     pots: dict[int, SparsePoly] = {}
     caps: dict[int, int] = {}
     notes: list[str] = []
     for g in range(genus_cap + 1):
         cap = max(degree_cap - 2 * g, 0)
         caps[g] = cap
-        pots[g] = solver.assemble_potential(g, cap)
-        rep = solver.exactness_report(g, cap)
-        if not rep.passed:
+
+        def one_point(v: Var, d: int) -> SparsePoly:
+            return solver.w_slice(g, (v,), d)
+
+        pots[g] = euler_potential(vs, one_point, cap)
+        if not mixed_partials(vs, one_point, cap, f"mixed-partials g={g}").passed:
             raise ConsistencyError(f"mixed partials disagree at genus {g}")
         if g >= 1:
             notes.append(f"genus {g}: constant term undetermined, stored as 0")
-    if cross_check:
-        profile = Profile(N=rd.N, m_in=m_in, D=caps[0])
-        direct = genus0.solve(rd, profile, m_out=m_in)
-        if direct.F != pots[0]:
-            raise ConsistencyError(
-                "genus-zero output disagrees with the direct residue engine")
+    direct = genus0.solve(rd, Profile(N=rd.N, m_in=m_in, D=caps[0]), m_out=m_in)
+    if direct.F != pots[0]:
+        raise ConsistencyError(
+            "genus-zero output disagrees with the direct residue engine")
     return PotentialTable(rd=rd, m_in=m_in, potentials=pots,
                           degree_caps=caps, solver=solver, notes=notes)
 

@@ -9,12 +9,9 @@ quotienting by the chi-relation; chi-expansion is a conversion only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .exactnum import CycScalar, cyc_context
-
-HVector = tuple  # gamma-coefficients, index a-1 for a = 1..N
 
 
 class RootData:
@@ -41,27 +38,6 @@ class RootData:
         return f"RootData(N={self.N})"
 
 
-def chi(rd: RootData, i: int) -> HVector:
-    """The vanishing-cycle coordinate chi_i in gamma-coefficients."""
-    if not 1 <= i <= rd.h:
-        raise ValueError(f"chi index {i} out of range 1..{rd.h}")
-    return tuple(rd.eta(-i * a) for a in range(1, rd.N + 1))
-
-
-def pairing(rd: RootData, u: HVector, v: HVector) -> CycScalar:
-    """Invariant bilinear form, extended from (chi_i|chi_j) = -1/h + delta_ij.
-
-    On the gamma-basis the Gram matrix is (gamma_a|gamma_b) = delta_{a+b,h}/h.
-    """
-    if len(u) != rd.N or len(v) != rd.N:
-        raise ValueError("vectors must have gamma-length N")
-    acc = rd.ctx.zero
-    for a in range(1, rd.N + 1):
-        b = rd.h - a
-        acc = acc + u[a - 1] * v[b - 1]
-    return acc * Fraction(1, rd.h)
-
-
 class SymState:
     """Element of the symmetric algebra on the gamma-basis.
 
@@ -82,12 +58,6 @@ class SymState:
             self.terms.pop(key, None)
         else:
             self.terms[key] = c
-
-    def scale(self, c) -> "SymState":
-        out = SymState(self.rd)
-        for k, v in self.terms.items():
-            out.add_term(k, v * c)
-        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -118,21 +88,14 @@ def elem_sym_state(rd: RootData, r: int) -> SymState:
     out = SymState(rd)
     for subset in combinations(range(1, rd.h + 1), r):
         # multiply the chi_i factors one by one, tracking sorted multisets
-        acc: dict[tuple[int, ...], CycScalar] = {(): rd.ctx.one}
+        acc = SymState(rd, {(): rd.ctx.one})
         for i in subset:
-            new: dict[tuple[int, ...], CycScalar] = {}
-            for key, c in acc.items():
+            new = SymState(rd)
+            for key, c in acc.terms.items():
                 for b in range(1, rd.N + 1):
-                    k2 = tuple(sorted(key + (b,)))
-                    c2 = c * rd.eta(-i * b)
-                    prev = new.get(k2)
-                    c2 = c2 if prev is None else prev + c2
-                    if c2.is_zero():
-                        new.pop(k2, None)
-                    else:
-                        new[k2] = c2
+                    new.add_term(tuple(sorted(key + (b,))), c * rd.eta(-i * b))
             acc = new
-        for key, c in acc.items():
+        for key, c in acc.terms.items():
             out.add_term(key, c)
     return out
 

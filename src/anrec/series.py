@@ -220,14 +220,6 @@ class SparsePoly:
 
     # -- domain moves ----------------------------------------------------------
 
-    def lift(self, ctx: CycContext) -> "SparsePoly":
-        """Embed a rational polynomial into Q(eta)."""
-        if self.domain is ctx:
-            return self
-        if self.domain is not None:
-            raise DomainMismatchError("lift expects a rational polynomial")
-        return SparsePoly(ctx, {m: ctx.from_rat(c) for m, c in self.terms.items()})
-
     def demote(self) -> "SparsePoly":
         """Checked demotion Q(eta) -> Q; raises if any eta-part survives."""
         if self.domain is None:
@@ -294,6 +286,12 @@ class SparsePoly:
 
 def _is_zero(c: Scalar, domain: Domain) -> bool:
     return c == 0 if domain is None else c.is_zero()
+
+
+def weighted_sum(ctx: CycContext, parts: Iterable[tuple[CycScalar, SparsePoly]]) -> SparsePoly:
+    """sum of scalar * poly over Q(eta), for (scalar, rational poly) pairs ``parts``."""
+    return SparsePoly.from_terms(ctx, ((mono, s * c) for s, poly in parts
+                                       for mono, c in poly.terms.items()))
 
 
 class LambdaSeries:

@@ -147,7 +147,7 @@ def test_criterion_08_cross_path_genus0():
     t0 = time.time()
     for N in (1, 2, 3):
         rd = RootData(N)
-        table = solve_recursion(rd, 0, 5, m_in=0, cross_check=False)
+        table = solve_recursion(rd, 0, 5, m_in=0)
         direct = solve(rd, Profile(N=N, m_in=0, D=5))
         assert table.potentials[0] == direct.F, N
     a1 = solve_recursion(RootData(1), 0, 5, m_in=0)

@@ -162,6 +162,29 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("target", ["missing", "folder"])
+@pytest.mark.parametrize("genus", ["0", "1"])
+def test_unwritable_out_is_reported_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                     target, genus):
+    import anrec.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran before --out was checked")
+    monkeypatch.setattr(anrec.cli, "solve", no_solve)
+    monkeypatch.setattr(anrec.cli, "solve_recursion", no_solve)
+    path = tmp_path / "missing" / "y" if target == "missing" else tmp_path
+    # the message is the one opening the path for writing gives
+    with pytest.raises(OSError) as exc:
+        open(path, "w")
+    code, out, err = run(capsys, "potential", "--n", "2", "--genus", genus,
+                         "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"cannot write --out {path}: {exc.value.strerror}\n"
+    assert not (tmp_path / "missing").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_frontier_potential_content_hash(capsys):
     # the slowest (N, genus, degree) point of the table tests: its bytes are
     # pinned so that a faster cluster expansion must reproduce them exactly

@@ -4,13 +4,16 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anrec.combinatorics import sym_c
 from anrec.genus0 import (
     G0Solver,
     Profile,
     euler_check,
-    rhs_residue,
+    euler_potential,
+    mixed_partials,
     solve,
     split_n_a0,
     wdvv_check,
@@ -80,30 +83,14 @@ def test_phi0_primary_shape():
     rd = RootData(3)
     profile = Profile(3, 0, 5)
     pot = solve(rd, profile)
-    frozen = G0Solver(rd, profile, frozen_table=pot.ptable)
+    solver = G0Solver(rd, profile)
     for a in (1, 2, 3):
-        series = frozen._phi(a, 0, profile.D)
+        series = solver._phi(a, 0, profile.D)
         assert series.coefficient(0) == x(0, a)
         assert series.coefficient(-rd.h) == pot.ptable[Var(0, rd.h - a)]
-    # empty table leaves the pure input part
-    bare = G0Solver(rd, profile, frozen_table={})._phi(2, 0, profile.D)
+    # below degree 2 no table slice exists: the pure input part is left
+    bare = solver._phi(2, 0, 1)
     assert list(bare.terms) == [0]
-
-
-def test_rhs_residue_from_frozen_table():
-    rd = RootData(3)
-    # the primary window, and a descendant window whose table carries one
-    # level above the checked ones for the tails the residue reads
-    for m_in, m_out, levels, degrees in [(0, 1, (0,), (2, 3, 4)),
-                                         (1, 2, (0, 1), (2, 3, 4, 5))]:
-        profile = Profile(N=3, m_in=m_in, D=5)
-        pot = solve(rd, profile, m_out=m_out)
-        # the finished table reproduces its own slices
-        for m in levels:
-            for a in (1, 2, 3):
-                for d in degrees:
-                    again = rhs_residue(rd, profile, pot.ptable, m, a, d)
-                    assert again == pot.ptable[Var(m, a)].homo_part(d)
 
 
 def _full_slot_product(solver, key):
@@ -120,23 +107,70 @@ def _full_slot_product(solver, key):
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 @pytest.mark.parametrize("m_in", [0, 1, 2])
 def test_windowed_slot_products_match_full_products(N, m_in):
-    # every memoised slot product equals the full product read at q_t, on a
-    # solving table and on a frozen one (as rhs_residue reads it)
+    # every memoised slot product equals the full product read at q_t, and
+    # the right side, re-read from the memoised products, reproduces the table
     rd = RootData(N)
     profile = Profile(N=N, m_in=m_in, D=5)
     solver = G0Solver(rd, profile)
     table = {Var(m, a): solver.p_poly(m, a)
              for m in range(m_in + 2) for a in range(1, N + 1)}
-    frozen = G0Solver(rd, profile, frozen_table=table)
     for m in range(m_in + 1):
         for a in range(1, N + 1):
             for d in range(2, 6):
-                assert frozen._rhs(m, a, d) == table[Var(m, a)].homo_part(d)
-    for s in (solver, frozen):
-        assert s._products
-        for key, part in s._products.items():
-            assert part == _full_slot_product(s, key), key
+                assert solver._rhs(m, a, d) == table[Var(m, a)].homo_part(d)
+    assert solver._products
+    for key, part in solver._products.items():
+        assert part == _full_slot_product(solver, key), key
     assert any(not part.is_zero() for part in solver._products.values())
+
+
+# -- the potential assembly both engines share ----------------------------------
+
+_VARS = [Var(0, 1), Var(0, 2), Var(1, 1)]
+
+
+def _potentials():
+    # rational polynomials of degree 1..5 in three slots, no constant term
+    mono = st.lists(st.tuples(st.sampled_from(_VARS), st.integers(1, 2)),
+                    min_size=1, max_size=3)
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def build(items):
+        monos = []
+        for factors, c in items:
+            exps: dict = {}
+            for v, e in factors:
+                exps[v] = exps.get(v, 0) + e
+            monos.append((tuple(sorted(exps.items())), c))
+        return SparsePoly.from_terms(None, monos)
+    return st.lists(st.tuples(mono, rat), max_size=6).map(build)
+
+
+@settings(max_examples=80, deadline=None)
+@given(F=_potentials(), cap=st.integers(0, 7))
+def test_euler_potential_inverts_the_gradient(F, cap):
+    def one_point(v, d):
+        return F.diff(v).homo_part(d)
+    assert euler_potential(_VARS, one_point, cap) == F.up_to_degree(cap)
+    assert mixed_partials(_VARS, one_point, cap, "gradient").passed
+
+
+def test_mixed_partials_names_the_failing_pair_and_degree():
+    # x_{0,2} * t1 is no gradient: d/dx_{0,2} of the t1 slice is t1, but
+    # d/dt1 of the x_{0,2} slice is 0
+    v, w = Var(0, 1), Var(0, 2)
+    family = {v: x(0, 1) * x(0, 2), w: SparsePoly.zero(), Var(1, 1): SparsePoly.zero()}
+
+    def one_point(u, d):
+        return family[u].homo_part(d)
+    rep = mixed_partials(_VARS, one_point, 3, "mixed-partials")
+    assert not rep.passed
+    # the degree is that of the disagreeing second derivatives
+    assert rep.witness == {"pair": [[0, 1], [0, 2]], "degree": 1}
+    assert rep.lhs == x(0, 1).to_json()
+    assert rep.rhs == SparsePoly.zero().to_json()
+    # a cap of 2 compares the degree-0 second derivatives only
+    assert mixed_partials(_VARS, one_point, 2, "mixed-partials").passed
 
 
 def _brute_sym_c(ctx, h, mu):

@@ -119,7 +119,7 @@ def test_genus1_anchor_one_twentyfourth():
 def test_solve_matches_direct_engine_and_a1_cubic():
     table = solve_recursion(RootData(1), 0, 5, m_in=0)
     assert table.potentials[0] == (x(0, 1) ** 3).scale(Fraction(1, 6))
-    # cross_check=True already compared engines; exercise N = 2, 3 too
+    # solve_recursion compares the engines at genus 0; exercise N = 2, 3 too
     for N in (2, 3):
         solve_recursion(RootData(N), 0, 5, m_in=0)
 

@@ -1,7 +1,5 @@
-"""Root-system data: chi vectors, pairing, states, divided differences."""
+"""Root-system data: symmetric states, divided differences."""
 
-import random
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -9,66 +7,17 @@ import pytest
 from anrec.rootsys import (
     RootData,
     cbracket_state,
-    chi,
     divided_difference,
     elem_sym_state,
-    pairing,
     vandermonde_coeff,
 )
 
 
-def test_chi_examples():
-    rd2 = RootData(1)  # h = 2
-    assert chi(rd2, 1) == (-rd2.ctx.one,)
-    assert chi(rd2, 2) == (rd2.ctx.one,)
-    rd4 = RootData(3)
-    assert chi(rd4, 4) == (rd4.ctx.one,) * 3  # eta^(-4a) = 1
-    with pytest.raises(ValueError):
-        chi(rd4, 5)
-
-
 @pytest.mark.parametrize("N", range(1, 12))
 def test_chi_sum_vanishes(N):
+    # e1 is sum_i chi_i expanded into gamma-monomials, chi_i = sum_a eta^(-ia) gamma_a
     rd = RootData(N)
-    total = [rd.ctx.zero] * N
-    for i in range(1, rd.h + 1):
-        v = chi(rd, i)
-        total = [t + c for t, c in zip(total, v)]
-    assert all(c.is_zero() for c in total)
-
-
-def test_pairing_values():
-    rd = RootData(3)  # h = 4
-    c1, c2 = chi(rd, 1), chi(rd, 2)
-    assert pairing(rd, c1, c1) == rd.ctx.from_rat(Fraction(3, 4))
-    root = tuple(a - b for a, b in zip(c1, c2))
-    assert pairing(rd, root, root) == rd.ctx.from_rat(2)
-    rd2 = RootData(1)
-    assert pairing(rd2, chi(rd2, 1), chi(rd2, 2)) == rd2.ctx.from_rat(Fraction(-1, 2))
-
-
-def test_roots_have_square_two_for_all_h():
-    for N in range(1, 7):
-        rd = RootData(N)
-        for i in range(1, rd.h + 1):
-            for j in range(i + 1, rd.h + 1):
-                root = tuple(a - b for a, b in zip(chi(rd, i), chi(rd, j)))
-                assert pairing(rd, root, root) == rd.ctx.from_rat(2)
-
-
-def test_pairing_symmetric_and_label_invariant():
-    # the form is symmetric and unchanged under permuting chi-labels
-    rng = random.Random(7)
-    rd = RootData(4)
-    labels = list(range(1, rd.h + 1))
-    for _ in range(25):
-        i, j = rng.sample(labels, 2)
-        perm = labels[:]
-        rng.shuffle(perm)
-        u, v = chi(rd, i), chi(rd, j)
-        assert pairing(rd, u, v) == pairing(rd, v, u)
-        assert pairing(rd, chi(rd, perm[i - 1]), chi(rd, perm[j - 1])) \
-            == pairing(rd, u, v)
+    assert elem_sym_state(rd, 1).is_zero()
 
 
 def test_elem_sym_state_small():

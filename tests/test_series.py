@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anrec.exactnum import cyc_context
-from anrec.series import LambdaSeries, SparsePoly, Var, YPoly
+from anrec.series import LambdaSeries, SparsePoly, Var, YPoly, weighted_sum
 
 
 def V(m, a):
@@ -95,7 +95,7 @@ def test_poly_serialization_round_trip():
     p = (x(0, 1) * x(1, 2)).scale(Fraction(-7, 3)) + x(0, 2).scale(2)
     assert SparsePoly.from_json(p.to_json()) == p
     ctx = cyc_context(4)
-    q = p.lift(ctx).scale(ctx.eta_pow(1))
+    q = weighted_sum(ctx, [(ctx.eta_pow(1), p)])
     assert SparsePoly.from_json(q.to_json()) == q
 
 
