@@ -75,7 +75,8 @@ def _check_out(path: str) -> None:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if not os.access(path if os.path.exists(path) else folder, os.W_OK):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            code = errno.EROFS if os.statvfs(folder).f_flag & os.ST_RDONLY else errno.EACCES
+            raise OSError(code, os.strerror(code))
     except OSError as exc:
         raise _Usage(f"cannot write --out {path}: {exc.strerror}") from None
 

@@ -240,7 +240,7 @@ def solve(rd: RootData, profile: Profile, m_out: int = 0) -> PotentialG0:
             Fraction(1, norm_factor(rd.h, v.m, v.a)))
 
     F = euler_potential(vs, one_point, profile.D)
-    checks = {"exactness": mixed_partials(vs, one_point, profile.D, "mixed-partials")}
+    checks = {"exactness": mixed_partials(vs, one_point, profile.D)}
     if not checks["exactness"].passed:
         raise WellFoundednessError("mixed partials disagree; table is inconsistent")
     if profile.m_in == 0:
@@ -271,7 +271,7 @@ def euler_potential(vs: list[Var], one_point, deg_cap: int) -> SparsePoly:
     return acc
 
 
-def mixed_partials(vs: list[Var], one_point, deg_cap: int, claim: str) -> CheckReport:
+def mixed_partials(vs: list[Var], one_point, deg_cap: int) -> CheckReport:
     """One-point slices are the gradient of one potential: their mixed partials agree.
 
     Every pair of variables in ``vs`` is compared slice by slice through
@@ -284,10 +284,10 @@ def mixed_partials(vs: list[Var], one_point, deg_cap: int, claim: str) -> CheckR
                 right = one_point(w, d + 1).diff(v)
                 if left != right:
                     return CheckReport(
-                        claim=claim, passed=False,
+                        claim="mixed-partials", passed=False,
                         witness={"pair": [list(v), list(w)], "degree": d},
                         lhs=left.to_json(), rhs=right.to_json())
-    return CheckReport(claim=claim, passed=True)
+    return CheckReport(claim="mixed-partials", passed=True)
 
 
 # ---------------------------------------------------------------------------

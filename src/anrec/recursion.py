@@ -565,7 +565,7 @@ def solve_recursion(rd: RootData, genus_cap: int, degree_cap: int,
             return solver.w_slice(g, (v,), d)
 
         pots[g] = euler_potential(vs, one_point, cap)
-        if not mixed_partials(vs, one_point, cap, f"mixed-partials g={g}").passed:
+        if not mixed_partials(vs, one_point, cap).passed:
             raise ConsistencyError(f"mixed partials disagree at genus {g}")
         if g >= 1:
             notes.append(f"genus {g}: constant term undetermined, stored as 0")

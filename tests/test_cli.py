@@ -1,6 +1,9 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import errno
 import json
+import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -162,27 +165,52 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("target", ["missing", "folder"])
-@pytest.mark.parametrize("genus", ["0", "1"])
-def test_unwritable_out_is_reported_before_the_solve(tmp_path, capsys, monkeypatch,
-                                                     target, genus):
+@pytest.mark.parametrize("target", ["missing", "folder", "file"])
+def test_unwritable_out_is_reported_before_the_solve(tmp_path, capsys, monkeypatch, target):
     import anrec.cli
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran before --out was checked")
     monkeypatch.setattr(anrec.cli, "solve", no_solve)
     monkeypatch.setattr(anrec.cli, "solve_recursion", no_solve)
-    path = tmp_path / "missing" / "y" if target == "missing" else tmp_path
+    if target == "file":
+        (tmp_path / "f").write_text("")
+    path = {"missing": tmp_path / "missing" / "y", "folder": tmp_path,
+            "file": tmp_path / "f" / "y"}[target]
+    before = sorted(tmp_path.iterdir())
     # the message is the one opening the path for writing gives
     with pytest.raises(OSError) as exc:
         open(path, "w")
-    code, out, err = run(capsys, "potential", "--n", "2", "--genus", genus,
+    code, out, err = run(capsys, "potential", "--n", "2", "--genus", "1",
                          "--out", str(path))
     assert code == 2
     assert out == ""
     assert err == f"cannot write --out {path}: {exc.value.strerror}\n"
-    assert not (tmp_path / "missing").exists()
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("read_only", [False, True])
+def test_out_without_write_permission_is_reported_before_the_solve(
+        tmp_path, capsys, monkeypatch, read_only):
+    # the check asks os.access, so a denial is simulated there; a read-only
+    # filesystem gives the errno open() would give on it
+    import anrec.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran before --out was checked")
+    monkeypatch.setattr(anrec.cli, "solve", no_solve)
+    monkeypatch.setattr(anrec.cli.os, "access", lambda *args: False)
+    if read_only:
+        flags = os.statvfs(tmp_path).f_flag | os.ST_RDONLY
+        monkeypatch.setattr(anrec.cli.os, "statvfs",
+                            lambda folder: SimpleNamespace(f_flag=flags))
+    path = tmp_path / "y"
+    code, out, err = run(capsys, "potential", "--n", "2", "--out", str(path))
+    reason = os.strerror(errno.EROFS if read_only else errno.EACCES)
+    assert code == 2
+    assert out == ""
+    assert err == f"cannot write --out {path}: {reason}\n"
+    assert not path.exists()
 
 
 def test_frontier_potential_content_hash(capsys):

@@ -107,8 +107,9 @@ def _full_slot_product(solver, key):
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 @pytest.mark.parametrize("m_in", [0, 1, 2])
 def test_windowed_slot_products_match_full_products(N, m_in):
-    # every memoised slot product equals the full product read at q_t, and
-    # the right side, re-read from the memoised products, reproduces the table
+    # every memoised slot product equals the full product read at q_t; the
+    # right side is read again from the same memo, so the comparison with the
+    # table only shows that re-reading a solved slice gives the stored one
     rd = RootData(N)
     profile = Profile(N=N, m_in=m_in, D=5)
     solver = G0Solver(rd, profile)
@@ -152,7 +153,7 @@ def test_euler_potential_inverts_the_gradient(F, cap):
     def one_point(v, d):
         return F.diff(v).homo_part(d)
     assert euler_potential(_VARS, one_point, cap) == F.up_to_degree(cap)
-    assert mixed_partials(_VARS, one_point, cap, "gradient").passed
+    assert mixed_partials(_VARS, one_point, cap).passed
 
 
 def test_mixed_partials_names_the_failing_pair_and_degree():
@@ -163,14 +164,14 @@ def test_mixed_partials_names_the_failing_pair_and_degree():
 
     def one_point(u, d):
         return family[u].homo_part(d)
-    rep = mixed_partials(_VARS, one_point, 3, "mixed-partials")
+    rep = mixed_partials(_VARS, one_point, 3)
     assert not rep.passed
     # the degree is that of the disagreeing second derivatives
     assert rep.witness == {"pair": [[0, 1], [0, 2]], "degree": 1}
     assert rep.lhs == x(0, 1).to_json()
     assert rep.rhs == SparsePoly.zero().to_json()
     # a cap of 2 compares the degree-0 second derivatives only
-    assert mixed_partials(_VARS, one_point, 2, "mixed-partials").passed
+    assert mixed_partials(_VARS, one_point, 2).passed
 
 
 def _brute_sym_c(ctx, h, mu):
