@@ -6,9 +6,18 @@ The basic quantity is
                        prod_s eta^(-j_s a_s) / (1 - eta^(j_s)),
 
 an order-dependent sum over strictly increasing index tuples (empty tuple
-gives 1, and the value is 0 once r > h - 1).  SymC symmetrises C over the
-distinct permutations of a multiset, and the bracket constant C[...] removes
-one copy of each distinct value:
+gives 1, and the value is 0 once r > h - 1).  Each product factorises as
+
+    prod_s eta^(-j_s a_s) / (1 - eta^(j_s)) = eta^(-<J, a>) * D_J,
+    D_J = prod_{j in J} 1 / (1 - eta^j),
+
+where J = {j_1 < ... < j_r} and <J, a> = sum_s j_s a_s.  D_J depends on the
+index set alone, and eta^(-<J, a>) only on <J, a> mod h, so every term of C
+is a rotated subset product eta^s * D_J read from a per-root-system memo:
+evaluating C costs one field addition per index set and no field product.
+
+SymC symmetrises C over the distinct permutations of a multiset, and the
+bracket constant C[...] removes one copy of each distinct value:
 
     C[b] = 1,   C[a_0, ..., a_r] = sum over distinct values v of
                                    SymC(tuple minus one copy of v).
@@ -21,6 +30,7 @@ generating-function identities in an auxiliary variable Y.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -34,10 +44,11 @@ from .series import YPoly
 class _Memo:
     """What this module keeps for one root system."""
 
-    __slots__ = ("factors", "sym", "bracket")
+    __slots__ = ("rot", "sym", "bracket")
 
     def __init__(self):
-        self.factors: list[list[CycScalar]] | None = None
+        # rot[J][s] = eta^s * D_J for an index set J, filled on first use
+        self.rot: dict[tuple[int, ...], list[CycScalar | None]] = {}
         self.sym: dict[tuple[int, ...], CycScalar] = {}
         self.bracket: dict[tuple[int, ...], CycScalar] = {}
 
@@ -53,40 +64,51 @@ def _memo(rd: RootData) -> _Memo:
     return got
 
 
-def _factor_table(rd: RootData) -> list[list[CycScalar]]:
-    # cfac[j][a] = eta^(-j a) / (1 - eta^j) for 1 <= j <= h-1, 1 <= a <= h-1
-    memo = _memo(rd)
-    if memo.factors is None:
-        table: list[list[CycScalar]] = [[]]
-        for j in range(1, rd.h):
-            inv = (rd.ctx.one - rd.eta(j)).inv()
-            table.append([rd.ctx.zero] + [rd.eta(-j * a) * inv for a in range(1, rd.h)])
-        memo.factors = table
-    return memo.factors
+def _rotated(rd: RootData, rot: dict[tuple[int, ...], list[CycScalar | None]],
+             js: tuple[int, ...], s: int) -> CycScalar:
+    # eta^s * D_J, with D_J = D_(J minus its largest index) * D_(largest
+    # index); a rotation is formed the first time a tuple asks for it, so a
+    # lone query at large h does not pay for all h of them
+    row = rot.get(js)
+    if row is None:
+        if len(js) == 1:
+            base = (rd.ctx.one - rd.eta(js[0])).inv()
+        else:
+            base = _rotated(rd, rot, js[:-1], 0) * _rotated(rd, rot, js[-1:], 0)
+        row = rot[js] = [base] + [None] * (rd.h - 1)
+    got = row[s]
+    if got is None:
+        got = row[s] = row[0] * rd.eta(s)
+    return got
+
+
+def _check_entries(rd: RootData, tup: tuple[int, ...]) -> None:
+    for a in tup:
+        if not 1 <= a <= rd.h - 1:
+            raise ValueError(f"tuple entry {a} out of range 1..{rd.h - 1}")
 
 
 def c_const(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
     """The ordered tuple constant C(a_1, ..., a_r).
 
-    Not memoised: its callers, the genus-zero multiset weights and the
-    memoised :func:`sym_c`, ask for each ordered tuple once.
+    Sums the rotated subset product eta^(-<J, a>) * D_J over the index sets
+    J (see the module docstring).  This is the definition of C that the
+    ``verify_*`` identities and the brute-force tests read.  Not memoised:
+    its callers, the genus-zero multiset weights and the memoised
+    :func:`sym_c`, ask for each ordered tuple once.
     """
     tup = tuple(tup)
-    for a in tup:
-        if not 1 <= a <= rd.h - 1:
-            raise ValueError(f"tuple entry {a} out of range 1..{rd.h - 1}")
+    _check_entries(rd, tup)
     r = len(tup)
     if r == 0:
         return rd.ctx.one
-    if r > rd.h - 1:
+    h = rd.h
+    if r > h - 1:
         return rd.ctx.zero  # no strictly increasing index tuples exist
-    fac = _factor_table(rd)
+    rot = _memo(rd).rot
     acc = rd.ctx.zero
-    for js in combinations(range(1, rd.h), r):
-        prod = fac[js[0]][tup[0]]
-        for s in range(1, r):
-            prod = prod * fac[js[s]][tup[s]]
-        acc = acc + prod
+    for js in combinations(range(1, h), r):
+        acc = acc + _rotated(rd, rot, js, -sum(map(operator.mul, js, tup)) % h)
     return acc
 
 
@@ -109,6 +131,7 @@ def sym_c(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
     got = memo.get(key)
     if got is not None:
         return got
+    _check_entries(rd, key)
     if len(key) > rd.h - 1:
         value = rd.ctx.zero
     else:

@@ -4,9 +4,12 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anrec import combinatorics
 from anrec.combinatorics import (
@@ -49,6 +52,43 @@ def test_c_const_conventions(rd4):
         c_const(rd4, (4,))
 
 
+def _c_by_definition(rd, tup):
+    # C(a) straight from its defining sum over increasing index tuples,
+    # sharing no code with the rotated subset products of c_const
+    one = rd.ctx.one
+    inv = {j: (one - rd.eta(j)).inv() for j in range(1, rd.h)}
+    acc = rd.ctx.zero
+    for js in combinations(range(1, rd.h), len(tup)):
+        prod = one
+        for j, a in zip(js, tup):
+            prod = prod * rd.eta(-j * a) * inv[j]
+        acc = acc + prod
+    return acc
+
+
+@pytest.mark.parametrize("h", range(2, 7))
+def test_c_const_matches_its_definition(h):
+    rd = RootData(h - 1)
+    for r in range(h):
+        for tup in iproduct(range(1, h), repeat=r):
+            assert c_const(rd, tup) == _c_by_definition(rd, tup), tup
+
+
+@st.composite
+def _tuples_at_large_h(draw):
+    h = draw(st.sampled_from((7, 8, 12)))
+    r = draw(st.integers(1, h - 1))
+    return h, tuple(draw(st.lists(st.integers(1, h - 1), min_size=r, max_size=r)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_tuples_at_large_h())
+def test_c_const_matches_its_definition_at_large_h(case):
+    h, tup = case
+    rd = RootData(h - 1)
+    assert c_const(rd, tup) == _c_by_definition(rd, tup)
+
+
 def test_sym_c(rd4):
     assert sym_c(rd4, (1, 2)) == rd4.ctx.one  # C(1,2) + C(2,1) = 1
     assert sym_c(rd4, (3,)) == c_const(rd4, (3,))
@@ -60,6 +100,16 @@ def test_sym_c(rd4):
         perm = list(tup)
         rng.shuffle(perm)
         assert sym_c(rd4, tup) == sym_c(rd4, tuple(perm))
+
+
+def test_sym_c_rejects_bad_entries_of_long_tuples():
+    rd = RootData(3)
+    with pytest.raises(ValueError):
+        sym_c(rd, (9, 9, 9, 9))  # longer than h - 1, so C would vanish
+    with pytest.raises(ValueError):
+        sym_c(rd, (0, 1, 1, 1, 1))
+    assert not combinatorics._memo(rd).sym
+    assert sym_c(rd, (1, 1, 1, 1)).is_zero()  # a valid long tuple still gives 0
 
 
 def test_c_bracket_values(rd4):
@@ -155,7 +205,7 @@ def test_memos_live_and_die_with_their_root_data():
     rd = RootData(3)
     first = (sym_c(rd, (1, 2)), c_bracket(rd, (1, 3)))
     memo = combinatorics._MEMOS[rd]
-    assert memo.sym and memo.bracket and memo.factors is not None
+    assert memo.sym and memo.bracket and memo.rot
     ref = weakref.ref(rd)
     del rd
     gc.collect()
