@@ -34,7 +34,7 @@ from .combinatorics import c_const
 from .exactnum import CycScalar, Rat, rat_str
 from .reporting import CheckReport
 from .rootsys import RootData
-from .series import LambdaSeries, SparsePoly, Var, weighted_sum
+from .series import LambdaSeries, SparsePoly, Var, _accumulate, weighted_sum
 
 
 def norm_factor(h: int, m: int, a: int) -> int:
@@ -113,14 +113,9 @@ class G0Solver:
         """
         if self._weights is None:
             rd = self.rd
-            sums: dict[tuple[int, ...], CycScalar] = {}
-            for r in range(1, rd.h):
-                for tup in iproduct(range(1, rd.h), repeat=r):
-                    mu = tuple(sorted(tup))
-                    c = c_const(rd, tup)
-                    got = sums.get(mu)
-                    sums[mu] = c if got is None else got + c
-            self._weights = {mu: w for mu, w in sums.items() if not w.is_zero()}
+            self._weights = _accumulate(
+                {}, ((tuple(sorted(tup)), c_const(rd, tup)) for r in range(1, rd.h)
+                     for tup in iproduct(range(1, rd.h), repeat=r)), CycScalar.is_zero)
         return self._weights
 
     def _rhs(self, m: int, a: int, d: int) -> SparsePoly:

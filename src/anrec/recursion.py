@@ -209,9 +209,7 @@ class DescendantSolver:
         dirs = tuple(sorted(dirs))
         if not dirs:
             raise ValueError("at least one derivative direction is required")
-        if g == 0 and len(dirs) == 1 and d <= 1:
-            return SparsePoly.zero()  # potential starts cubic
-        if g == 0 and len(dirs) == 2 and d == 0:
+        if d < _w_min_degree(g, len(dirs)):
             return SparsePoly.zero()
         key = (g, dirs, d)
         got = self._w.get(key)

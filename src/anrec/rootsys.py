@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 
 from .exactnum import CycScalar, cyc_context
+from .series import _accumulate
 
 
 class RootData:
@@ -51,14 +52,6 @@ class SymState:
         self.rd = rd
         self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
 
-    def add_term(self, key: tuple[int, ...], c: CycScalar) -> None:
-        acc = self.terms.get(key)
-        c = c if acc is None else acc + c
-        if c.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = c
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -85,19 +78,17 @@ def elem_sym_state(rd: RootData, r: int) -> SymState:
     """
     if not 1 <= r <= rd.h:
         raise ValueError(f"r = {r} out of range 1..{rd.h}")
-    out = SymState(rd)
+    is_zero = CycScalar.is_zero
+    out: dict[tuple[int, ...], CycScalar] = {}
     for subset in combinations(range(1, rd.h + 1), r):
         # multiply the chi_i factors one by one, tracking sorted multisets
-        acc = SymState(rd, {(): rd.ctx.one})
+        acc = {(): rd.ctx.one}
         for i in subset:
-            new = SymState(rd)
-            for key, c in acc.terms.items():
-                for b in range(1, rd.N + 1):
-                    new.add_term(tuple(sorted(key + (b,))), c * rd.eta(-i * b))
-            acc = new
-        for key, c in acc.terms.items():
-            out.add_term(key, c)
-    return out
+            acc = _accumulate({}, ((tuple(sorted(key + (b,))), c * rd.eta(-i * b))
+                                   for key, c in acc.items()
+                                   for b in range(1, rd.N + 1)), is_zero)
+        _accumulate(out, acc.items(), is_zero)
+    return SymState(rd, out)
 
 
 def cbracket_state(rd: RootData, r: int) -> SymState:
@@ -112,12 +103,9 @@ def cbracket_state(rd: RootData, r: int) -> SymState:
         raise ValueError(f"r = {r} out of range 2..{rd.h}")
     from .combinatorics import c_bracket
 
-    out = SymState(rd)
-    for tup in combinations_with_replacement(range(1, rd.N + 1), r):
-        if sum(tup) % rd.h:
-            continue
-        out.add_term(tup, c_bracket(rd, tup) * rd.h)
-    return out
+    return SymState(rd, {tup: c_bracket(rd, tup) * rd.h
+                         for tup in combinations_with_replacement(range(1, rd.N + 1), r)
+                         if sum(tup) % rd.h == 0})
 
 
 def divided_difference(rd: RootData, nodes: tuple[int, ...], k: int) -> CycScalar:

@@ -5,12 +5,17 @@ flat index 1 <= a <= N.  The level-0 slots are the primary variables, so
 ``Var(0, a)`` prints as ``t_a``.  Laurent objects store exponents of
 lambda^(1/h) as plain integers q, which makes the residue slot exactly
 q = -h and avoids rational exponent arithmetic.
+
+No stored coefficient is ever zero: every sparse sum in the package, here
+and in ``rootsys`` and ``genus0``, goes through the one loop
+:func:`_accumulate`, which drops a key as soon as its sum is exactly zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from operator import not_
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .exactnum import (
     CycContext,
@@ -41,6 +46,23 @@ Domain = Union[None, CycContext]
 
 class DomainMismatchError(ValueError):
     pass
+
+
+def _accumulate(terms: dict, items: Iterable[tuple], is_zero: Callable[[object], bool]) -> dict:
+    """Add each (key, value) into ``terms``, dropping a key whose sum is exactly zero."""
+    for key, c in items:
+        acc = terms.get(key)
+        c = c if acc is None else acc + c
+        if is_zero(c):
+            terms.pop(key, None)
+        else:
+            terms[key] = c
+    return terms
+
+
+def _zero_test(domain: Domain) -> Callable[[Scalar], bool]:
+    # looked up per call, so a wrapper installed on CycScalar.is_zero is seen
+    return not_ if domain is None else CycScalar.is_zero
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -91,10 +113,7 @@ class SparsePoly:
 
     @staticmethod
     def constant(c: Scalar, domain: Domain = None) -> "SparsePoly":
-        p = SparsePoly(domain, {})
-        if not _is_zero(c, domain):
-            p.terms[()] = c
-        return p
+        return SparsePoly(domain, {} if _zero_test(domain)(c) else {(): c})
 
     @staticmethod
     def variable(v: Var, domain: Domain = None) -> "SparsePoly":
@@ -103,15 +122,7 @@ class SparsePoly:
 
     @staticmethod
     def from_terms(domain: Domain, items: Iterable[tuple[Mono, Scalar]]) -> "SparsePoly":
-        terms: dict[Mono, Scalar] = {}
-        for mono, c in items:
-            acc = terms.get(mono)
-            c = c if acc is None else acc + c
-            if _is_zero(c, domain):
-                terms.pop(mono, None)
-            else:
-                terms[mono] = c
-        return SparsePoly(domain, terms)
+        return SparsePoly(domain, _accumulate({}, items, _zero_test(domain)))
 
     # -- ring operations -----------------------------------------------------
 
@@ -121,15 +132,8 @@ class SparsePoly:
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._chk(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = terms.get(mono)
-            c = c if acc is None else acc + c
-            if _is_zero(c, self.domain):
-                terms.pop(mono, None)
-            else:
-                terms[mono] = c
-        return SparsePoly(self.domain, terms)
+        return SparsePoly(self.domain, _accumulate(dict(self.terms), other.terms.items(),
+                                                   _zero_test(self.domain)))
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly(self.domain, {m: -c for m, c in self.terms.items()})
@@ -148,25 +152,15 @@ class SparsePoly:
         # the one product loop: with a cap, a monomial pair whose degrees
         # sum past it is skipped before its coefficients are multiplied
         self._chk(other)
-        right = list(other.terms.items())
-        if deg_cap is not None:
-            right_deg = [mono_degree(m) for m, _ in right]
-        terms: dict[Mono, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            cols = right
-            if deg_cap is not None:
-                room = deg_cap - mono_degree(m1)
-                cols = [t for t, d2 in zip(right, right_deg) if d2 <= room]
-            for m2, c2 in cols:
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                acc = terms.get(mono)
-                c = c if acc is None else acc + c
-                if _is_zero(c, self.domain):
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = c
-        return SparsePoly(self.domain, terms)
+        if deg_cap is None:
+            items = ((_mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items()
+                     for m2, c2 in other.terms.items())
+        else:
+            right = [(m, c, mono_degree(m)) for m, c in other.terms.items()]
+            items = ((_mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items()
+                     for room in [deg_cap - mono_degree(m1)]
+                     for m2, c2, d2 in right if d2 <= room)
+        return SparsePoly(self.domain, _accumulate({}, items, _zero_test(self.domain)))
 
     def scale(self, c: Scalar) -> "SparsePoly":
         # c may be a plain rational even when the domain is cyclotomic
@@ -203,10 +197,6 @@ class SparsePoly:
     def homo_part(self, d: int) -> "SparsePoly":
         return SparsePoly(self.domain,
                           {m: c for m, c in self.terms.items() if mono_degree(m) == d})
-
-    def up_to_degree(self, d: int) -> "SparsePoly":
-        return SparsePoly(self.domain,
-                          {m: c for m, c in self.terms.items() if mono_degree(m) <= d})
 
     def coefficient(self, mono: Mono) -> Scalar:
         c = self.terms.get(mono)
@@ -284,10 +274,6 @@ class SparsePoly:
         return SparsePoly.from_terms(domain, items)
 
 
-def _is_zero(c: Scalar, domain: Domain) -> bool:
-    return c == 0 if domain is None else c.is_zero()
-
-
 def weighted_sum(ctx: CycContext, parts: Iterable[tuple[CycScalar, SparsePoly]]) -> SparsePoly:
     """sum of scalar * poly over Q(eta), for (scalar, rational poly) pairs ``parts``."""
     return SparsePoly.from_terms(ctx, ((mono, s * c) for s, poly in parts
@@ -315,9 +301,6 @@ class LambdaSeries:
         if self.domain is not other.domain:
             raise DomainMismatchError("lambda-series over different scalar domains")
 
-    def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
-        return self.mul_capped(other)
-
     def mul_capped(self, other: "LambdaSeries", deg_cap: int | None = None,
                    window: tuple[int, int] | None = None) -> "LambdaSeries":
         """Convolution of lambda-exponents; optional total-degree cap and exponent window.
@@ -327,22 +310,10 @@ class LambdaSeries:
         its polynomial product is taken, as the degree cap skips monomial pairs.
         """
         self._chk(other)
-        terms: dict[int, SparsePoly] = {}
-        for q1, p1 in self.terms.items():
-            for q2, p2 in other.terms.items():
-                q = q1 + q2
-                if window is not None and not window[0] <= q <= window[1]:
-                    continue
-                prod = p1._mul(p2, deg_cap)
-                if prod.is_zero():
-                    continue
-                s = terms.get(q)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    terms.pop(q, None)
-                else:
-                    terms[q] = s
-        return LambdaSeries(self.h, self.domain, terms)
+        prods = ((q1 + q2, p1._mul(p2, deg_cap)) for q1, p1 in self.terms.items()
+                 for q2, p2 in other.terms.items()
+                 if window is None or window[0] <= q1 + q2 <= window[1])
+        return LambdaSeries(self.h, self.domain, _accumulate({}, prods, SparsePoly.is_zero))
 
     def coefficient(self, q: int) -> SparsePoly:
         return self.terms.get(q, SparsePoly.zero(self.domain))

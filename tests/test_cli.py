@@ -3,6 +3,9 @@
 import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -298,3 +301,23 @@ def test_empty_suite_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert f"suite {argv[1]} has no checks" in err
+
+
+def _cli_process(*argv):
+    # a real interpreter, so the module's sys.exit(main()) wiring runs too
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "anrec.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
+def test_cli_exit_codes_across_a_process_boundary():
+    proc = _cli_process("verify", "symstate", "--h", "4", "--format", "json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["pass"] is True
+    for argv, needle in ((("potential",), "--n"), (("verify", "nosuch", "--h", "4"), "nosuch")):
+        proc = _cli_process(*argv)
+        assert proc.returncode == 2, argv
+        assert needle in proc.stderr and "Traceback" not in proc.stderr, argv
+        assert proc.stdout == "", argv

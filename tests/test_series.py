@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from anrec.exactnum import cyc_context
 from anrec.series import LambdaSeries, SparsePoly, Var, YPoly, weighted_sum
+from truncation import up_to_degree
 
 
 def V(m, a):
@@ -71,8 +72,8 @@ def test_lambda_series_mul_and_residue():
     one = SparsePoly.constant(Fraction(1))
     f = LambdaSeries(h, None, {1: one})    # lambda^(1/h)
     g = LambdaSeries(h, None, {-1: one})   # lambda^(-1/h)
-    assert (f * g).coefficient(0) == one
-    assert (f * LambdaSeries(h, None, {})).is_zero()
+    assert f.mul_capped(g).coefficient(0) == one
+    assert f.mul_capped(LambdaSeries(h, None, {})).is_zero()
     # residue slot is exactly q = -h
     assert LambdaSeries(h, None, {-h: one}).coefficient(-h) == one
     assert LambdaSeries(h, None, {-1: one}).coefficient(-h).is_zero()
@@ -85,7 +86,7 @@ def test_lambda_series_binomial():
     t = x(0, 1)
     p = x(1, 1)  # stand-in coefficient for the lambda^(-1) tail
     phi = LambdaSeries(h, None, {0: t, -h: p})
-    sq = phi * phi
+    sq = phi.mul_capped(phi)
     assert sq.coefficient(0) == t * t
     assert sq.coefficient(-h) == (t * p).scale(2)
     assert sq.coefficient(-2 * h) == p * p
@@ -103,7 +104,7 @@ def test_lambda_series_mismatch_errors():
     from anrec.series import DomainMismatchError
     one = SparsePoly.constant(Fraction(1))
     with pytest.raises(DomainMismatchError):
-        LambdaSeries(2, None, {0: one}) * LambdaSeries(3, None, {0: one})
+        LambdaSeries(2, None, {0: one}).mul_capped(LambdaSeries(3, None, {0: one}))
 
 
 def test_ypoly_ops():
@@ -155,7 +156,7 @@ def test_capped_product_is_truncated_product(domain, data):
     p, q = data.draw(_mixed_polys(domain)), data.draw(_mixed_polys(domain))
     cap = data.draw(_CAPS)
     full = p * q
-    assert p.mul_capped(q, cap) == (full if cap is None else full.up_to_degree(cap))
+    assert p.mul_capped(q, cap) == (full if cap is None else up_to_degree(full, cap))
     # (p + q)(p - q): the cross terms cancel exactly under every cap
     lhs = (p + q).mul_capped(p - q, cap)
     assert lhs == p.mul_capped(p, cap) - q.mul_capped(q, cap)
@@ -188,9 +189,9 @@ def test_lambda_capped_product_truncates_every_coefficient(p, q, r, cap):
     h = 3
     a = LambdaSeries(h, None, {0: p, -h: q, 1: r})
     b = LambdaSeries(h, None, {h: q, 0: r, -2: p})
-    full = a * b
+    full = a.mul_capped(b)
     expect = full if cap is None else LambdaSeries(
-        h, None, {k: poly.up_to_degree(cap) for k, poly in full.terms.items()})
+        h, None, {k: up_to_degree(poly, cap) for k, poly in full.terms.items()})
     assert a.mul_capped(b, cap) == expect
 
 
@@ -220,7 +221,7 @@ def test_windowed_lambda_product_edges(monkeypatch):
     t1, t2 = x(0, 1), x(0, 2)
     a = LambdaSeries(h, None, {0: t1, -h: t2})
     b = LambdaSeries(h, None, {h: t2, -2: t1})
-    full = a * b  # slots h, -2, 0 and -h-2
+    full = a.mul_capped(b)  # slots h, -2, 0 and -h-2
     assert sorted(full.terms) == [-h - 2, -2, 0, h]
     only = LambdaSeries(h, None, {-2: t1 * t1})
     formed = [0]
@@ -241,3 +242,46 @@ def test_windowed_lambda_product_edges(monkeypatch):
     # a window over every slot is the plain product, and the degree cap still applies
     assert a.mul_capped(b, 1, (-h - 2, h)).is_zero()
     assert a.mul_capped(b, None, (-h - 2, h)) == full
+
+
+# -- the one accumulate loop stores no zero ----------------------------------------
+
+def _no_stored_zero(poly):
+    return all(not (c == 0 if poly.domain is None else c.is_zero())
+               for c in poly.terms.values())
+
+
+@pytest.mark.parametrize("domain", [None, _CTX], ids=["Q", "Q(eta)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_no_user_of_the_shared_sum_stores_a_zero(domain, data):
+    from anrec.genus0 import G0Solver, Profile
+    from anrec.rootsys import RootData, cbracket_state, elem_sym_state
+
+    p, q = data.draw(_mixed_polys(domain)), data.draw(_mixed_polys(domain))
+    cap = data.draw(_CAPS)
+    assert (p + (-p)).terms == {}
+    # (p + q)(p - q): the cross terms p*q and -q*p cancel
+    for prod in ((p + q) * (p - q), (p + q).mul_capped(p - q, cap)):
+        assert _no_stored_zero(prod)
+    r, s = data.draw(_mixed_polys(None)), data.draw(_mixed_polys(None))
+    w = _CTX.from_rat(data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=3)))
+    w = w * _CTX.eta_pow(data.draw(st.integers(0, 4)))
+    assert weighted_sum(_CTX, [(w, r), (-w, r)]).terms == {}
+    assert _no_stored_zero(weighted_sum(_CTX, [(w, r), (-w, s)]))
+    # slot 0 of (p L^0 + L^(1/h)) (L^0 - p L^(-1/h)) is p - p
+    h = _CTX.h
+    one = SparsePoly.constant(Fraction(1) if domain is None else domain.one, domain)
+    a = LambdaSeries(h, domain, {0: p, 1: one})
+    b = LambdaSeries(h, domain, {0: one, -1: -p})
+    prod = a.mul_capped(b, cap)
+    assert 0 not in prod.terms
+    assert all(not poly.is_zero() and _no_stored_zero(poly) for poly in prod.terms.values())
+    # the symmetric states and the genus-0 weights sum through the same loop
+    rd = RootData(data.draw(st.integers(1, 4)))
+    assert elem_sym_state(rd, 1).terms == {}
+    for k in range(2, rd.h + 1):
+        for state in (elem_sym_state(rd, k), cbracket_state(rd, k)):
+            assert all(not c.is_zero() for c in state.terms.values())
+    weights = G0Solver(rd, Profile(rd.N, 0, 3)).multiset_weights()
+    assert all(not c.is_zero() for c in weights.values())

@@ -1,0 +1,12 @@
+"""Truncation reference for the degree-capped products.
+
+The capped products skip monomial pairs before they multiply them; this
+reference forms everything and filters afterwards, so the two share no loop.
+"""
+
+from anrec.series import SparsePoly, mono_degree
+
+
+def up_to_degree(p: SparsePoly, d: int) -> SparsePoly:
+    """The terms of p of total degree <= d."""
+    return SparsePoly(p.domain, {m: c for m, c in p.terms.items() if mono_degree(m) <= d})
