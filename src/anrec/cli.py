@@ -6,7 +6,8 @@ suites draw from CPython's seeded Mersenne Twister and echo seed and
 configuration into the report, so reruns are byte-identical.
 
 Exit codes: 0 all checks pass, 1 verification failure or internal
-consistency error, 2 usage error.
+consistency error, 2 usage error, 141 (128 + SIGPIPE, as a shell reports a
+process killed by SIGPIPE) when the reader closes standard output early.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .reporting import CheckReport, SuiteReport
 from .rootsys import RootData, cbracket_state, elem_sym_state, vandermonde_coeff
 
 PRNG_NAME = "mersenne-twister (CPython random module)"
+EXIT_BROKEN_PIPE = 141
 
 
 def _canonical_json(payload: dict) -> str:
@@ -53,6 +55,8 @@ def _emit(payload: dict, args) -> None:
 def _write(text: str, args) -> None:
     if not args.out:
         print(text)
+        # a closed pipe raises here, inside main, not at interpreter exit
+        sys.stdout.flush()
         return
     try:
         with open(args.out, "w") as fh:
@@ -311,16 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        try:
+            args = ap.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
         if args.out:
             _check_out(args.out)
         return args.func(args)
     except _Usage as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the SIGPIPE recipe of the Python docs: point standard output at
+        # devnull, so that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

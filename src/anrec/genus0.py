@@ -22,12 +22,20 @@ which the factors still to come cannot reach that one, is skipped before
 its polynomial product is taken.  Slot products, and the third-derivative
 products of the WDVV check, go through the degree-capped polynomial
 product, which skips every monomial pair whose degrees sum past the cap.
+
+Slices that weighted homogeneity forces to zero are never computed.  With
+x_{m,a} of weight (a+1)/h - m (:func:`euler_weight`), every monomial of the
+genus-g free energy F_g weighs (2 + 2/h)(1 - g), so a degree-d slice of a
+derivative of F_g can be nonzero only if some d input variables make up the
+weight the derivative leaves (:func:`_weight_allows`).  Both engines test
+this on every memo miss, after the memo read, before any work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .combinatorics import c_const
@@ -88,13 +96,19 @@ class G0Solver:
     # -- the recursion -------------------------------------------------------
 
     def p_slice(self, m: int, a: int, d: int) -> SparsePoly:
-        """Degree-d homogeneous slice of p_{m,a}, over Q."""
+        """Degree-d homogeneous slice of p_{m,a}, over Q.
+
+        A key missing from the memo whose slice weighted homogeneity forces
+        to zero is answered with zero, neither computed nor stored.
+        """
         if d < 2:
             return SparsePoly.zero()
         key = (m, a, d)
         got = self._slices.get(key)
         if got is not None:
             return got
+        if not _weight_allows(self.rd.N, self.profile.m_in, 0, (Var(m, a),), d):
+            return SparsePoly.zero()
         if key in self._stack:
             raise WellFoundednessError(f"slice {key} depends on itself")
         self._stack.add(key)
@@ -327,10 +341,46 @@ def wdvv_check(N: int, F: SparsePoly, complete_to: int) -> CheckReport:
 
 
 def euler_weight(h: int, v: Var) -> Rat:
-    """Weight (a+1)/h of a primary variable."""
-    if v.m != 0:
-        raise ValueError("Euler weights are defined on the primary window")
-    return Fraction(v.a + 1, h)
+    """Weight (a+1)/h - m of the variable x_{m,a}.
+
+    Every monomial of the genus-g free energy weighs (2 + 2/h)(1 - g); on the
+    primary window (m = 0) this is the Euler homogeneity of :func:`euler_check`.
+
+    >>> euler_weight(4, Var(0, 3)), euler_weight(2, Var(1, 1))
+    (Fraction(1, 1), Fraction(0, 1))
+    """
+    return Fraction(_scaled_weight(h, v), h)
+
+
+def _scaled_weight(h: int, v: Var) -> int:
+    # h times the Euler weight, an integer
+    return v.a + 1 - v.m * h
+
+
+@lru_cache(maxsize=None)
+def _input_weights(N: int, m_in: int, d: int) -> frozenset[int]:
+    """h times the weight of each degree-d monomial in the inputs x_{k,b}, k <= m_in."""
+    if d == 0:
+        return frozenset((0,))
+    h = N + 1
+    steps = {_scaled_weight(h, v) for v in Profile(N, m_in).vars()}
+    return frozenset(s + w for s in _input_weights(N, m_in, d - 1) for w in steps)
+
+
+def _weight_allows(N: int, m_in: int, g: int, dirs: tuple[Var, ...], d: int) -> bool:
+    """Whether weighted homogeneity lets the degree-d slice of W_g[dirs] be nonzero.
+
+    W_g[dirs] is the derivative of F_g along ``dirs``, restricted to the
+    window of inputs x_{k,b} with k <= ``m_in``.  Its monomials weigh
+    (2 + 2/h)(1 - g) minus the weights of ``dirs``; in units of 1/h that is
+    an integer, which some d inputs must add up to.
+
+    >>> _weight_allows(1, 0, 0, (Var(0, 1),), 2), _weight_allows(1, 0, 1, (Var(0, 1),), 2)
+    (True, False)
+    """
+    h = N + 1
+    target = (2 * h + 2) * (1 - g) - sum(_scaled_weight(h, v) for v in dirs)
+    return target in _input_weights(N, m_in, d)
 
 
 def euler_check(N: int, F: SparsePoly) -> CheckReport:

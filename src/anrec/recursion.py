@@ -20,7 +20,11 @@ left after the pairs, the exponent target and the input count hit exactly).
 How the derivative modes then split into levels and into blocks with their
 genera and degrees depends on a few integers alone, so those enumerations
 are built once per shape (:func:`_level_vectors`, :func:`_block_plans`) and
-each configuration only looks up W-slices and multiplies.
+each configuration only looks up W-slices and multiplies.  A W-slice that
+weighted homogeneity forces to zero is never expanded: with x_{m,a} of
+weight (a+1)/h - m, every monomial of F_g weighs (2 + 2/h)(1 - g), and
+:func:`anrec.genus0._weight_allows` tells whether some d input variables
+can make up the weight a degree-d slice needs.
 
 Two field bases drive the same engine: the vanishing-cycle labels with
 propagator eta^(i+j)/(eta^i - eta^j)^2 and the gamma-basis with the diagonal
@@ -43,7 +47,14 @@ from itertools import product as iproduct
 from . import genus0
 from .combinatorics import c_bracket
 from .exactnum import CycScalar
-from .genus0 import Profile, WellFoundednessError, euler_potential, mixed_partials, norm_factor
+from .genus0 import (
+    Profile,
+    WellFoundednessError,
+    _weight_allows,
+    euler_potential,
+    mixed_partials,
+    norm_factor,
+)
 from .rootsys import RootData, divided_difference
 from .series import SparsePoly, Var, weighted_sum
 
@@ -203,18 +214,24 @@ class DescendantSolver:
     # -- the recursion ---------------------------------------------------------
 
     def w_slice(self, g: int, dirs: tuple[Var, ...], d: int) -> SparsePoly:
-        """Degree-d slice of the restricted multi-derivative W_g[dirs]."""
+        """Degree-d slice of the restricted multi-derivative W_g[dirs].
+
+        A key missing from the memo whose slice weighted homogeneity forces
+        to zero is answered with zero, neither expanded nor stored.  The
+        memo is read first, so a slice set by :meth:`perturb` is returned
+        whatever its key.
+        """
         if d < 0 or g < 0:
             return SparsePoly.zero()
         dirs = tuple(sorted(dirs))
         if not dirs:
             raise ValueError("at least one derivative direction is required")
-        if d < _w_min_degree(g, len(dirs)):
-            return SparsePoly.zero()
         key = (g, dirs, d)
         got = self._w.get(key)
         if got is not None:
             return got
+        if not _weight_allows(self.rd.N, self.m_in, g, dirs, d):
+            return SparsePoly.zero()
         if key in self._stack:
             raise WellFoundednessError(f"W-slice {key} depends on itself")
         self._stack.add(key)

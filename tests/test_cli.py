@@ -303,13 +303,15 @@ def test_empty_suite_is_a_usage_error(capsys, argv):
     assert f"suite {argv[1]} has no checks" in err
 
 
-def _cli_process(*argv):
+def _cli_process(*argv, **kwargs):
     # a real interpreter, so the module's sys.exit(main()) wiring runs too
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                       os.environ.get("PYTHONPATH")])))
+    kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run([sys.executable, "-m", "anrec.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120, check=False)
+                          stderr=subprocess.PIPE, text=True, timeout=120, check=False,
+                          **kwargs)
 
 
 def test_cli_exit_codes_across_a_process_boundary():
@@ -321,3 +323,20 @@ def test_cli_exit_codes_across_a_process_boundary():
         assert proc.returncode == 2, argv
         assert needle in proc.stderr and "Traceback" not in proc.stderr, argv
         assert proc.stdout == "", argv
+
+
+@pytest.mark.parametrize("argv", [
+    # 804 bytes: still in the stdout buffer, so the flush meets the closed pipe
+    ("verify", "symstate", "--h", "4", "--format", "json"),
+    # 77 kB: print itself meets it
+    ("potential", "--n", "3", "--genus", "0", "--degree", "6", "--m-in", "1", "--format", "json"),
+])
+def test_closed_stdout_exits_141_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        proc = _cli_process(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
