@@ -14,8 +14,11 @@ demoted to Q, which fails loudly if any eta-part survives.
 
 Terms that cannot reach the output are never formed.  The right side sums
 over multisets of slot indices with SymC weights, not over ordered tuples,
-so each slot product and residue is taken once per multiset, and multisets
-whose weight vanishes are skipped.  Of each slot product only the one
+so each slot product and residue is taken once per multiset.  A multiset of
+size r has r + 1 field factors, each of degree >= 1, so a degree-d slice
+visits only sizes r <= d - 1.  SymC(mu) is summed from C on demand, only
+for a multiset whose slot product is nonzero, and memoised per solver; a
+vanishing weight is skipped.  Of each slot product only the one
 coefficient the right side reads is formed: the degree-d part of the
 lambda slot -(m+n+2)h.  Every other lambda slot, and every prefix slot from
 which the factors still to come cannot reach that one, is skipped before
@@ -36,13 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import combinations_with_replacement
 
-from .combinatorics import c_const
+from .combinatorics import _distinct_permutations, c_const
 from .exactnum import CycScalar, Rat, rat_str
 from .reporting import CheckReport
 from .rootsys import RootData
-from .series import LambdaSeries, SparsePoly, Var, _accumulate, weighted_sum
+from .series import LambdaSeries, SparsePoly, Var, weighted_sum
 
 
 def norm_factor(h: int, m: int, a: int) -> int:
@@ -91,7 +94,7 @@ class G0Solver:
         self._stack: set[tuple[int, int, int]] = set()
         self._products: dict = {}
         self._fields: dict[tuple[int, int, int], LambdaSeries] = {}
-        self._weights: dict[tuple[int, ...], CycScalar] | None = None
+        self._weights: dict[tuple[int, ...], CycScalar] = {}
 
     # -- the recursion -------------------------------------------------------
 
@@ -119,34 +122,41 @@ class G0Solver:
         self._slices[key] = value
         return value
 
-    def multiset_weights(self) -> dict[tuple[int, ...], CycScalar]:
-        """SymC(mu) for every multiset mu of 1..h-1 of size 1..h-1, zeros dropped.
+    def _weight(self, mu: tuple[int, ...]) -> CycScalar:
+        """SymC(mu) for a sorted multiset mu: C summed over its distinct arrangements.
 
-        Built once per solver, the first time it is asked for, by summing C
-        over the ordered tuples that sort to each multiset.
+        Memoised per solver and asked for only by :meth:`_rhs`, once the slot
+        product it weights is known to be nonzero.
         """
-        if self._weights is None:
+        got = self._weights.get(mu)
+        if got is None:
             rd = self.rd
-            self._weights = _accumulate(
-                {}, ((tuple(sorted(tup)), c_const(rd, tup)) for r in range(1, rd.h)
-                     for tup in iproduct(range(1, rd.h), repeat=r)), CycScalar.is_zero)
-        return self._weights
+            got = self._weights[mu] = sum(
+                (c_const(rd, arr) for arr in _distinct_permutations(mu)), rd.ctx.zero)
+        return got
 
     def _rhs(self, m: int, a: int, d: int) -> SparsePoly:
         # the split (n, a0) and the slot product depend on the tuple only
-        # through its multiset, so the ordered sum of C collapses to SymC
+        # through its multiset, so the ordered sum of C collapses to SymC; a
+        # multiset of size r has r + 1 factors, each of degree >= 1, so only
+        # r <= d - 1 can reach degree d
         rd = self.rd
         h = rd.h
         parts = []
-        for mu, weight in self.multiset_weights().items():
-            n, a0 = split_n_a0(h, a, mu)
-            if a0 == 0:
-                continue
-            r = len(mu)
-            # one tail at level m' needs -(m'+1)h >= -(m+n+2)h - r*m_in*h
-            tail_max = m + n + 1 + r * self.profile.m_in
-            # residue of (product * lambda^(m+n+1))
-            parts.append((weight, self._slot_product((a0,) + mu, tail_max, d - r, d)))
+        for r in range(1, min(h - 1, d - 1) + 1):
+            for mu in combinations_with_replacement(range(1, h), r):
+                n, a0 = split_n_a0(h, a, mu)
+                if a0 == 0:
+                    continue
+                # one tail at level m' needs -(m'+1)h >= -(m+n+2)h - r*m_in*h
+                tail_max = m + n + 1 + r * self.profile.m_in
+                # residue of (product * lambda^(m+n+1))
+                part = self._slot_product((a0,) + mu, tail_max, d - r, d)
+                if part.is_zero():
+                    continue
+                weight = self._weight(mu)
+                if not weight.is_zero():
+                    parts.append((weight, part))
         return (-weighted_sum(rd.ctx, parts)).demote()
 
     def _slot_product(self, slots: tuple[int, ...], tail_max: int,
@@ -312,26 +322,32 @@ def wdvv_check(N: int, F: SparsePoly, complete_to: int) -> CheckReport:
     """
     h = N + 1
     dmax = complete_to - 3
-    third: dict[tuple[int, int, int], SparsePoly] = {}
 
-    def t3(a: int, b: int, c: int) -> SparsePoly:
-        key = tuple(sorted((a, b, c)))
-        got = third.get(key)
-        if got is None:
-            got = F.diff(Var(0, key[0])).diff(Var(0, key[1])).diff(Var(0, key[2]))
-            third[key] = got
-        return got
+    @lru_cache(maxsize=None)
+    def t3(key: tuple[int, int, int]) -> SparsePoly:
+        return F.diff(Var(0, key[0])).diff(Var(0, key[1])).diff(Var(0, key[2]))
 
+    @lru_cache(maxsize=None)
+    def capped(p: tuple[int, int, int], q: tuple[int, int, int]) -> SparsePoly:
+        return t3(p).mul_capped(t3(q), dmax)
+
+    def t3t3(p: tuple[int, ...], q: tuple[int, ...]) -> SparsePoly:
+        # formed once per unordered pair of sorted index triples
+        return capped(*sorted((tuple(sorted(p)), tuple(sorted(q)))))
+
+    # equation (d, b, c, a) is equation (a, b, c, d) with its sides swapped
+    # (substitute e -> h - e): one with d = a holds identically, d > a covers
+    # every other, and the lexicographically first failure has a < d
     for a in range(1, N + 1):
         for b in range(1, N + 1):
             for c in range(b + 1, N + 1):
-                for d in range(1, N + 1):
+                for d in range(a + 1, N + 1):
                     lhs = SparsePoly.zero()
                     rhs = SparsePoly.zero()
                     for e in range(1, N + 1):
                         f = h - e  # dual index under the flat pairing
-                        lhs = lhs + t3(a, b, e).mul_capped(t3(f, c, d), dmax)
-                        rhs = rhs + t3(a, c, e).mul_capped(t3(f, b, d), dmax)
+                        lhs = lhs + t3t3((a, b, e), (f, c, d))
+                        rhs = rhs + t3t3((a, c, e), (f, b, d))
                     if lhs != rhs:
                         return CheckReport(
                             claim=f"wdvv N={N}", passed=False,

@@ -253,6 +253,8 @@ def test_rank_one_genus_five_content_hash(capsys):
      "a532b4484681f16e7513810f7abe415e36e10d0f46b286adbb2d9c1ae6452daf"),
     (("--n", "6", "--degree", "7"),
      "8c610f7c20b3a5ce1a21c06f3b80f4a09a2d56b258ca6e2b6ea225703ff91fb6"),
+    (("--n", "7", "--degree", "7"),
+     "715b8bb8a68d1d85f11758cfa943ee94086bacc23c3f1c18d360061f5b8449c3"),
 ])
 def test_genus0_potential_content_hash(capsys, argv, digest):
     # genus-zero tables, primary and descendant: a faster recursion or

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from anrec.genus0 import (
     wdvv_check,
 )
 from anrec.rootsys import RootData
-from anrec.series import SparsePoly, Var
+from anrec.series import SparsePoly, Var, weighted_sum
 from truncation import up_to_degree
 
 
@@ -191,18 +192,57 @@ def _brute_sym_c(ctx, h, mu):
 @pytest.mark.parametrize("h", [2, 3, 4, 5, 6])
 def test_multiset_weights_are_symc(h):
     rd = RootData(h - 1)
-    weights = G0Solver(rd, Profile(h - 1, 0, 3)).multiset_weights()
-    seen = 0
+    solver = G0Solver(rd, Profile(h - 1, 0, 3))
     for r in range(1, h):
         for mu in combinations_with_replacement(range(1, h), r):
-            brute = _brute_sym_c(rd.ctx, h, mu)
-            if brute.is_zero():
-                assert mu not in weights
+            assert solver._weight(mu) == _brute_sym_c(rd.ctx, h, mu) == sym_c(rd, mu)
+
+
+@pytest.mark.parametrize("N, D", [(3, 5), (5, 4), (6, 7)])
+def test_solve_reads_only_weights_of_nonzero_slot_products(N, D):
+    # the weight memo holds sorted multisets of size 1..min(h-1, D-1), and
+    # each of them weights some nonzero slot product
+    solver = G0Solver(RootData(N), Profile(N, 0, D))
+    for a in range(1, N + 1):
+        solver.p_poly(0, a)
+    assert solver._weights
+    for mu in solver._weights:
+        assert list(mu) == sorted(mu) and 1 <= len(mu) <= min(N, D - 1)
+        assert any(key[0] == tuple(sorted(mu + (a0,))) and not part.is_zero()
+                   for key, part in solver._products.items()
+                   for a0 in range(1, N + 1))
+
+
+def _reference_rhs(solver, weights, m, a, d):
+    # every multiset of size 1..h-1, brute-force SymC weights, full products
+    rd, h = solver.rd, solver.rd.h
+    parts = []
+    for r in range(1, h):
+        for mu in combinations_with_replacement(range(1, h), r):
+            n, a0 = split_n_a0(h, a, mu)
+            if a0 == 0:
                 continue
-            seen += 1
-            assert weights[mu] == brute == sym_c(rd, mu)
-    # nothing else: every key is a sorted multiset of size 1..h-1
-    assert len(weights) == seen
+            if mu not in weights:
+                weights[mu] = _brute_sym_c(rd.ctx, h, mu)
+            tail_max = m + n + 1 + r * solver.profile.m_in
+            parts.append((weights[mu], _full_slot_product(
+                solver, ((a0,) + mu, tail_max, d - r, d))))
+    return (-weighted_sum(rd.ctx, parts)).demote()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("m_in", [0, 1, 2])
+def test_rhs_matches_sum_over_every_multiset(N, m_in):
+    # the right side skips multisets of size >= d and reads a weight only
+    # for a nonzero slot product; neither skip may change it
+    rd = RootData(N)
+    solver = G0Solver(rd, Profile(N=N, m_in=m_in, D=5))
+    weights: dict = {}
+    for m in range(m_in + 1):
+        for a in range(1, N + 1):
+            for d in range(2, 6):
+                assert solver._rhs(m, a, d) == _reference_rhs(solver, weights, m, a, d), \
+                    (m, a, d)
 
 
 def test_descendant_profile_lowest_orders():
@@ -226,6 +266,45 @@ def test_wdvv_negative_control(a3_potential):
         bad = bad + SparsePoly(None, {mono: c})
     assert euler_check(3, bad).passed
     assert not wdvv_check(3, bad, 5).passed
+
+
+def _full_wdvv(N, F, complete_to):
+    # every (a, b, c, d) with b < c, third derivatives recomputed per use
+    def t3(*idx):
+        out = F
+        for i in idx:
+            out = out.diff(Var(0, i))
+        return out
+    for a, b, c, d in iproduct(range(1, N + 1), repeat=4):
+        if b >= c:
+            continue
+        lhs = rhs = SparsePoly.zero()
+        for e in range(1, N + 1):
+            lhs = lhs + t3(a, b, e).mul_capped(t3(N + 1 - e, c, d), complete_to - 3)
+            rhs = rhs + t3(a, c, e).mul_capped(t3(N + 1 - e, b, d), complete_to - 3)
+        if lhs != rhs:
+            return {"claim": f"wdvv N={N}", "lhs": lhs.to_json(), "rhs": rhs.to_json(),
+                    "pass": False, "witness": {"indices": [a, b, c, d]}}
+    return {"claim": f"wdvv N={N}", "lhs": None, "rhs": None, "pass": True}
+
+
+def _doubled(F, mono):
+    return SparsePoly(None, {k: c * 2 if k == mono else c for k, c in F.terms.items()})
+
+
+def test_wdvv_report_matches_full_loop(a3_potential):
+    # the check visits each equation once (d > a) and forms each product of
+    # third derivatives once; verdict, witness and both sides are unchanged
+    a4 = solve(RootData(4), Profile(N=4, m_in=0, D=6)).F
+    cases = [
+        (3, a3_potential.F, 5),
+        (3, _doubled(a3_potential.F, ((Var(0, 1), 2), (Var(0, 2), 2))), 5),
+        (4, a4, 6),
+        (4, _doubled(a4, ((Var(0, 2), 1), (Var(0, 3), 1), (Var(0, 4), 1))), 6),
+    ]
+    for N, F, complete_to in cases:
+        assert wdvv_check(N, F, complete_to).to_json() == _full_wdvv(N, F, complete_to)
+    assert [wdvv_check(N, F, k).passed for N, F, k in cases] == [True, False, True, False]
 
 
 def test_euler_negative_control(a3_potential):

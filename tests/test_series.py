@@ -277,11 +277,15 @@ def test_no_user_of_the_shared_sum_stores_a_zero(domain, data):
     prod = a.mul_capped(b, cap)
     assert 0 not in prod.terms
     assert all(not poly.is_zero() and _no_stored_zero(poly) for poly in prod.terms.values())
-    # the symmetric states and the genus-0 weights sum through the same loop
+    # the symmetric states and the genus-0 slices and slot products sum
+    # through the same loop
     rd = RootData(data.draw(st.integers(1, 4)))
     assert elem_sym_state(rd, 1).terms == {}
     for k in range(2, rd.h + 1):
         for state in (elem_sym_state(rd, k), cbracket_state(rd, k)):
             assert all(not c.is_zero() for c in state.terms.values())
-    weights = G0Solver(rd, Profile(rd.N, 0, 3)).multiset_weights()
-    assert all(not c.is_zero() for c in weights.values())
+    solver = G0Solver(rd, Profile(rd.N, 0, 4))
+    for a in range(1, rd.h):
+        solver.p_poly(0, a)
+    assert all(_no_stored_zero(poly) for poly in solver._slices.values())
+    assert all(_no_stored_zero(poly) for poly in solver._products.values())
