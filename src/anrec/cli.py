@@ -8,6 +8,8 @@ configuration into the report, so reruns are byte-identical.
 Exit codes: 0 all checks pass, 1 verification failure or internal
 consistency error, 2 usage error, 141 (128 + SIGPIPE, as a shell reports a
 process killed by SIGPIPE) when the reader closes standard output early.
+``potential`` prints its payload even when a verdict stamped into its
+``checks`` fails, and then exits 1.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ def cmd_potential(args) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
     _emit(payload, args)
-    return 0
+    # the payload is emitted either way; a failing stamped verdict sets the exit code
+    return 0 if all(c["pass"] for c in payload.get("checks", {}).values()) else 1
 
 
 def _parse_tuple(text: str) -> tuple[int, ...]:

@@ -14,7 +14,8 @@ gives 1, and the value is 0 once r > h - 1).  Each product factorises as
 where J = {j_1 < ... < j_r} and <J, a> = sum_s j_s a_s.  D_J depends on the
 index set alone, and eta^(-<J, a>) only on <J, a> mod h, so every term of C
 is a rotated subset product eta^s * D_J read from a per-root-system memo:
-evaluating C costs one field addition per index set and no field product.
+evaluating C is one pass that adds the integer numerators of these terms and
+normalises the sum once, with no field product.
 
 SymC symmetrises C over the distinct permutations of a multiset, and the
 bracket constant C[...] removes one copy of each distinct value:
@@ -78,7 +79,7 @@ def _rotated(rd: RootData, rot: dict[tuple[int, ...], list[CycScalar | None]],
         row = rot[js] = [base] + [None] * (rd.h - 1)
     got = row[s]
     if got is None:
-        got = row[s] = row[0] * rd.eta(s)
+        got = row[s] = row[0].rotate(s)
     return got
 
 
@@ -106,10 +107,8 @@ def c_const(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
     if r > h - 1:
         return rd.ctx.zero  # no strictly increasing index tuples exist
     rot = _memo(rd).rot
-    acc = rd.ctx.zero
-    for js in combinations(range(1, h), r):
-        acc = acc + _rotated(rd, rot, js, -sum(map(operator.mul, js, tup)) % h)
-    return acc
+    return rd.ctx.sum(_rotated(rd, rot, js, -sum(map(operator.mul, js, tup)) % h)
+                      for js in combinations(range(1, h), r))
 
 
 def _distinct_permutations(tup: tuple[int, ...]):
@@ -135,10 +134,7 @@ def sym_c(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
     if len(key) > rd.h - 1:
         value = rd.ctx.zero
     else:
-        acc = rd.ctx.zero
-        for p in _distinct_permutations(key):
-            acc = acc + c_const(rd, p)
-        value = acc
+        value = rd.ctx.sum(c_const(rd, p) for p in _distinct_permutations(key))
     memo[key] = value
     return value
 
@@ -162,12 +158,9 @@ def c_bracket(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
     elif len(tup) == 1:
         value = rd.ctx.one
     else:
-        acc = rd.ctx.zero
-        for v in sorted(set(tup)):
-            rest = list(tup)
-            rest.remove(v)
-            acc = acc + sym_c(rd, tuple(rest))
-        value = acc
+        # dropping the first copy of each distinct value keeps the rest sorted
+        value = rd.ctx.sum(sym_c(rd, tup[:i] + tup[i + 1:])
+                           for i, v in enumerate(tup) if i == 0 or tup[i - 1] != v)
     memo[tup] = value
     return value
 
@@ -198,8 +191,13 @@ def _geometric_y(rd: RootData) -> YPoly:
     return YPoly(rd.ctx, [rd.ctx.one] * rd.h)
 
 
-def _one_minus_y(rd: RootData) -> YPoly:
-    return YPoly(rd.ctx, [rd.ctx.one, -rd.ctx.one])
+def _in_one_minus_y(rd: RootData, values: list[CycScalar]) -> YPoly:
+    # sum_m values[m] (1-Y)^m, one field sum per coefficient: by the binomial
+    # theorem the Y^k coefficient is sum_{m >= k} (-1)^k binom(m, k) values[m]
+    return YPoly(rd.ctx, [
+        rd.ctx.sum(v * ((-1) ** k * math.comb(m, k))
+                   for m, v in enumerate(values[k:], k) if not v.is_zero())
+        for k in range(len(values))])
 
 
 def verify_symc_generating(rd: RootData, a: tuple[int, ...],
@@ -228,32 +226,27 @@ def verify_symc_generating(rd: RootData, a: tuple[int, ...],
     aut = 1
     for v in set(a):
         aut *= math.factorial(a.count(v))
-    lhs = YPoly.zero(rd.ctx)
-    shrink = _one_minus_y(rd)
-    pw = YPoly.constant(rd.ctx, rd.ctx.one)
-    for m in range(0, rd.h - r):  # SymC vanishes for total length > h-1
-        lhs = lhs + pw.scale(sym_c(rd, tuple(sorted(a)) + (rd.N,) * m) * aut)
-        pw = pw * shrink
+    key = tuple(sorted(a))
+    # SymC vanishes for total length > h-1
+    lhs = _in_one_minus_y(rd, [sym_c(rd, key + (rd.N,) * m) * aut for m in range(rd.h - r)])
 
     # sum over k-tuples factorises per slot into the geometric series
-    # sum_k eta^(i k) Y^k, so each ordered index sequence costs one
-    # truncated convolution instead of a composition scan
-    coeffs = [rd.ctx.zero] * (ycap + 1)
-    for iseq in permutations(range(1, rd.N + 1), r):
-        pref = rd.ctx.one
+    # sum_k eta^(i k) Y^k = 1 / (1 - eta^i Y), so the Y-series of an index
+    # sequence is a product over its index set: one truncated division per
+    # index, c_s += eta^i c_(s-1) in increasing s, shared by every ordering
+    # of the set.  Each ordering then adds the series rotated by its own
+    # prefactor eta^(-sum_j i_j a_j).
+    terms: list[list[CycScalar]] = [[] for _ in range(ycap + 1)]
+    for iset in combinations(range(1, rd.N + 1), r):
         series = [rd.ctx.one] + [rd.ctx.zero] * ycap
-        for ij, aj in zip(iseq, a):
-            pref = pref * rd.eta(-ij * aj)
-            geom = [rd.eta(ij * k) for k in range(ycap + 1)]
-            new = [rd.ctx.zero] * (ycap + 1)
-            for s1, c1 in enumerate(series):
-                if c1.is_zero():
-                    continue
-                for s2 in range(ycap + 1 - s1):
-                    new[s1 + s2] = new[s1 + s2] + c1 * geom[s2]
-            series = new
-        for s in range(ycap + 1):
-            coeffs[s] = coeffs[s] + pref * series[s]
+        for i in iset:
+            for s in range(1, ycap + 1):
+                series[s] = series[s] + series[s - 1].rotate(i)
+        for iseq in permutations(iset):
+            shift = -sum(map(operator.mul, iseq, a))
+            for s, c in enumerate(series):
+                terms[s].append(c.rotate(shift))
+    coeffs = [rd.ctx.sum(ts) for ts in terms]
     rhs = (_geometric_y(rd) * YPoly(rd.ctx, coeffs)).truncate(ycap)
     rhs = rhs.scale(Fraction(1, rd.h))
 
@@ -271,14 +264,11 @@ def verify_cbracket_generating(rd: RootData, a: tuple[int, ...]) -> CheckReport:
     a = tuple(a)
     if not a or any(not 1 <= x <= rd.N - 1 for x in a):
         raise ValueError("entries must lie in 1..N-1, tuple non-empty")
-    lhs = YPoly.zero(rd.ctx)
-    shrink = _one_minus_y(rd)
-    pw = YPoly.constant(rd.ctx, rd.ctx.one)
-    for m in range(0, rd.h - len(a) + 1):  # bracket dies past length h
-        lhs = lhs + pw.scale(c_bracket(rd, tuple(sorted(a)) + (rd.N,) * m))
-        pw = pw * shrink
-    rhs = YPoly.y_power(rd.ctx, sum(a) % rd.h,
-                        c_bracket(rd, tuple(sorted(a))))
+    key = tuple(sorted(a))
+    # the bracket dies past length h
+    lhs = _in_one_minus_y(rd, [c_bracket(rd, key + (rd.N,) * m)
+                               for m in range(rd.h - len(a) + 1)])
+    rhs = YPoly.y_power(rd.ctx, sum(a) % rd.h, c_bracket(rd, key))
     return CheckReport(
         claim=f"cbracket-generating h={rd.h} a={list(a)}",
         passed=lhs == rhs, lhs=lhs.to_json(), rhs=rhs.to_json())

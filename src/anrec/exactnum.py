@@ -14,10 +14,22 @@ has exactly one stored form, so ``==`` and ``hash`` compare the stored
 integers.  Phi_h is monic over Z, so reduction modulo Phi_h maps integer
 vectors to integer vectors: a product is one integer convolution, one
 integer reduction through precomputed rows and one gcd pass, and a sum of
-scalars over equal denominators adds numerators only.  An inverse is the
-product of the other Galois conjugates (eta -> eta^k, k a unit mod h)
-divided by the norm, a nonzero integer.  ``CycScalar.coeffs`` gives the
-coefficients as ``Fraction``s for display and serialisation.
+scalars over equal denominators adds numerators only.  Two cheaper routes
+skip the general product and the per-step gcd:
+
+* ``x.rotate(k)`` is ``x * eta^k`` as one pass over the numerators through
+  the sparse rows of x^p mod Phi_h (p < h).  eta^k is a unit of Z[eta], so
+  the map is a Z-automorphism of the numerator lattice: it keeps the
+  content of the numerators, hence lowest terms, and the denominator is
+  kept as it is with no gcd.
+* ``ctx.sum(xs)`` adds many scalars in one pass, accumulating integer
+  numerators over a running lcm of the denominators, and puts the result
+  in lowest terms once at the end.
+
+An inverse is the product of the other Galois conjugates (eta -> eta^k,
+k a unit mod h) divided by the norm, a nonzero integer.
+``CycScalar.coeffs`` gives the coefficients as ``Fraction``s for display
+and serialisation.
 
 Complex floating evaluation exists only as a diagnostic
 (:meth:`CycScalar.approx`) and is never fed back into exact arithmetic.
@@ -29,7 +41,7 @@ import cmath
 import functools
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 Rat = Fraction
@@ -117,7 +129,7 @@ class CycContext:
     cached and compared by identity.
     """
 
-    __slots__ = ("h", "phi", "deg", "_rows", "_eta", "_units", "zero", "one")
+    __slots__ = ("h", "phi", "deg", "_rows", "_eta_rows", "_eta", "_units", "zero", "one")
 
     def __init__(self, h: int):
         if h < 2:
@@ -137,8 +149,10 @@ class CycContext:
                 for j in range(d):
                     cur[j] -= top * self.phi[j]
         # the product kernel reads x^d .. x^(2d-2) as sparse (index, coefficient) rows
-        self._rows = tuple(tuple((j, c) for j, c in enumerate(row) if c)
-                           for row in powers[d:2 * d - 1])
+        sparse = [tuple((j, c) for j, c in enumerate(row) if c) for row in powers]
+        self._rows = tuple(sparse[d:2 * d - 1])
+        # rotations and conjugations read x^p, p < h, as sparse rows as well
+        self._eta_rows = tuple(sparse[:h])
         self._eta = tuple(_raw(self, num, 1) for num in powers[:h])
         self._units = tuple(k for k in range(2, h) if math.gcd(k, h) == 1)
         self.zero = _raw(self, (0,) * d, 1)
@@ -162,12 +176,38 @@ class CycContext:
     def _conj(self, a: tuple[int, ...], k: int) -> list[int]:
         """The Galois conjugate eta -> eta^k of an integer vector."""
         out = [0] * self.deg
-        h, eta = self.h, self._eta
+        h, rows = self.h, self._eta_rows
         for i, ai in enumerate(a):
             if ai:
-                for j, e in enumerate(eta[i * k % h].num):
+                for j, e in rows[i * k % h]:
                     out[j] += ai * e
         return out
+
+    def sum(self, scalars: Iterable["CycScalar"]) -> "CycScalar":
+        """The exact sum of scalars of this field, in lowest terms.
+
+        Accumulates integer numerators over a running lcm of the
+        denominators and reduces once, instead of one gcd and one new
+        scalar per addition.  A scalar of another field raises
+        :class:`ContextMismatchError`, as ``+`` does.
+        """
+        num = [0] * self.deg
+        den = 1
+        for x in scalars:
+            if x.ctx is not self:
+                raise ContextMismatchError(
+                    f"mixed cyclotomic contexts h={self.h} and h={x.ctx.h}")
+            xd = x.den
+            if xd == den:
+                num = list(map(operator.add, num, x.num))
+                continue
+            if den % xd:
+                up = xd // math.gcd(den, xd)
+                num = [a * up for a in num]
+                den *= up
+            up = den // xd
+            num = [a + b * up for a, b in zip(num, x.num)]
+        return _norm(self, num, den)
 
     def eta_pow(self, k: int) -> "CycScalar":
         """eta^k reduced modulo Phi_h (k taken mod h)."""
@@ -254,6 +294,24 @@ class CycScalar:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def rotate(self, k: int) -> "CycScalar":
+        """self * eta^k without a field product.
+
+        Sends each numerator at eta^i to the row of eta^((i + k) mod h).
+        Multiplication by the unit eta^k preserves the content of the
+        numerators, so the result is in lowest terms over the same
+        denominator.
+        """
+        ctx = self.ctx
+        h, rows = ctx.h, ctx._eta_rows
+        k %= h
+        out = [0] * ctx.deg
+        for i, a in enumerate(self.num, k):
+            if a:
+                for j, r in rows[i % h]:
+                    out[j] += a * r
+        return _raw(ctx, tuple(out), self.den)
 
     def inv(self) -> "CycScalar":
         """Multiplicative inverse: the other Galois conjugates over the norm.

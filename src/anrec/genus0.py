@@ -131,8 +131,8 @@ class G0Solver:
         got = self._weights.get(mu)
         if got is None:
             rd = self.rd
-            got = self._weights[mu] = sum(
-                (c_const(rd, arr) for arr in _distinct_permutations(mu)), rd.ctx.zero)
+            got = self._weights[mu] = rd.ctx.sum(
+                c_const(rd, arr) for arr in _distinct_permutations(mu))
         return got
 
     def _rhs(self, m: int, a: int, d: int) -> SparsePoly:

@@ -72,7 +72,7 @@ def propagator(rd: RootData, i: int, j: int) -> CycScalar:
     if i == j:
         raise ValueError("propagator labels must differ")
     diff = rd.eta(i) - rd.eta(j)
-    return rd.eta(i + j) * (diff * diff).inv()
+    return (diff * diff).inv().rotate(i + j)
 
 
 def gamma_propagator(rd: RootData, a: int, b: int) -> CycScalar:
@@ -436,7 +436,7 @@ class DescendantSolver:
         if u_d == 0:
             if pool or g_rem != 0 or q != q_target or rem_deg != 0:
                 return
-            scalar = pair_scalar * rd.eta(k_sum)
+            scalar = pair_scalar.rotate(k_sum)
             yield (scalar if sign > 0 else -scalar), _input_monomial(xt_vars)
             return
         span = q - q_target
@@ -476,7 +476,7 @@ class DescendantSolver:
                 if poly is None:
                     continue
                 if scalar is None:
-                    scalar = pair_scalar * rd.eta(k_sum)
+                    scalar = pair_scalar.rotate(k_sum)
                 yield scalar * factor, poly
 
     # -- exposed evaluations ------------------------------------------------------

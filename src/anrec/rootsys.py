@@ -9,7 +9,7 @@ quotienting by the chi-relation; chi-expansion is a conversion only.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .exactnum import CycScalar, cyc_context
 from .series import _accumulate
@@ -75,20 +75,27 @@ class SymState:
 def elem_sym_state(rd: RootData, r: int) -> SymState:
     """The degree-r elementary symmetric polynomial in chi_1..chi_h,
     expanded into gamma-monomials.
+
+    Built in one pass over the factors by the recurrence
+
+        e_k(chi_1..chi_i) = e_k(chi_1..chi_(i-1)) + chi_i * e_(k-1)(chi_1..chi_(i-1)),
+
+    with chi_i * gamma-monomial expanded as sum_b eta^(-i b) times the
+    monomial with gamma_b added.  k runs downwards, so e_(k-1) is read
+    before factor i enters it; only the degrees that can still reach r
+    after the remaining factors are formed, and none above r.
     """
     if not 1 <= r <= rd.h:
         raise ValueError(f"r = {r} out of range 1..{rd.h}")
+    h, N = rd.h, rd.N
     is_zero = CycScalar.is_zero
-    out: dict[tuple[int, ...], CycScalar] = {}
-    for subset in combinations(range(1, rd.h + 1), r):
-        # multiply the chi_i factors one by one, tracking sorted multisets
-        acc = {(): rd.ctx.one}
-        for i in subset:
-            acc = _accumulate({}, ((tuple(sorted(key + (b,))), c * rd.eta(-i * b))
-                                   for key, c in acc.items()
-                                   for b in range(1, rd.N + 1)), is_zero)
-        _accumulate(out, acc.items(), is_zero)
-    return SymState(rd, out)
+    e: list[dict[tuple[int, ...], CycScalar]] = [{(): rd.ctx.one}] + [{} for _ in range(r)]
+    for i in range(1, h + 1):
+        for k in range(min(i, r), max(1, r - h + i) - 1, -1):
+            _accumulate(e[k], ((tuple(sorted(key + (b,))), c.rotate(-i * b))
+                               for key, c in e[k - 1].items()
+                               for b in range(1, N + 1)), is_zero)
+    return SymState(rd, e[r])
 
 
 def cbracket_state(rd: RootData, r: int) -> SymState:
@@ -115,14 +122,14 @@ def divided_difference(rd: RootData, nodes: tuple[int, ...], k: int) -> CycScala
     homogeneous symmetric polynomial of degree (k mod h) - r + 1 in the r
     nodes, and 0 when that degree is negative.
     """
-    acc = rd.ctx.zero
+    terms = []
     for i in nodes:
         denom = rd.ctx.one
         for j in nodes:
             if j != i:
                 denom = denom * (rd.eta(i) - rd.eta(j))
-        acc = acc + rd.eta(i * k) * denom.inv()
-    return acc
+        terms.append(denom.inv().rotate(i * k))
+    return rd.ctx.sum(terms)
 
 
 def vandermonde_coeff(rd: RootData, indices: tuple[int, ...]) -> CycScalar:

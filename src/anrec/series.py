@@ -352,10 +352,6 @@ class YPoly:
         return YPoly(ctx, [])
 
     @staticmethod
-    def constant(ctx: CycContext, c: CycScalar) -> "YPoly":
-        return YPoly(ctx, [c])
-
-    @staticmethod
     def y_power(ctx: CycContext, k: int, c: CycScalar | None = None) -> "YPoly":
         c = ctx.one if c is None else c
         return YPoly(ctx, [ctx.zero] * k + [c])
@@ -363,19 +359,16 @@ class YPoly:
     def coeff(self, k: int) -> CycScalar:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.ctx.zero
 
-    def __add__(self, other: "YPoly") -> "YPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return YPoly(self.ctx, [self.coeff(k) + other.coeff(k) for k in range(n)])
-
     def __mul__(self, other: "YPoly") -> "YPoly":
         if not self.coeffs or not other.coeffs:
             return YPoly.zero(self.ctx)
-        out = [self.ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return YPoly(self.ctx, out)
+        a, b = self.coeffs, other.coeffs
+        nb = len(b)
+        # one field sum per output coefficient
+        return YPoly(self.ctx, [
+            self.ctx.sum(a[i] * b[k - i] for i in range(max(0, k - nb + 1), min(k, len(a) - 1) + 1)
+                         if not a[i].is_zero())
+            for k in range(len(a) + nb - 1)])
 
     def scale(self, c) -> "YPoly":
         return YPoly(self.ctx, [a * c for a in self.coeffs])

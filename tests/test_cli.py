@@ -216,6 +216,21 @@ def test_out_without_write_permission_is_reported_before_the_solve(
     assert not path.exists()
 
 
+def test_potential_exits_1_on_a_failing_stamped_verdict(capsys, monkeypatch):
+    # the payload is still printed, with the failing verdict in it
+    import anrec.genus0
+    from anrec.reporting import CheckReport
+
+    monkeypatch.setattr(anrec.genus0, "wdvv_check",
+                        lambda *args: CheckReport(claim="wdvv forced", passed=False))
+    code, out, _ = run(capsys, "potential", "--n", "3", "--genus", "0",
+                       "--degree", "5", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks["wdvv"]["pass"] is False
+    assert checks["euler"]["pass"] is True
+
+
 def test_frontier_potential_content_hash(capsys):
     # the slowest (N, genus, degree) point of the table tests: its bytes are
     # pinned so that a faster cluster expansion must reproduce them exactly

@@ -297,3 +297,60 @@ def test_float_operands_are_rejected():
                lambda: x * 0.5, lambda: 0.5 * x, lambda: x / 0.5):
         with pytest.raises(TypeError):
             op()
+
+
+# ---------------------------------------------------------------------------
+# The rotation x * eta^k and the one-pass sum, against the reference above
+# and against the general operators.
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(min_value=2, max_value=12), data=st.data())
+def test_rotate_is_product_by_eta_power(h, data):
+    ctx = cyc_context(h)
+    a = data.draw(_scalars(h))
+    for k in range(-2 * h, 2 * h + 1):
+        got = a.rotate(k)
+        eta_k = _ref_rem(h, [0] * (k % h) + [1])
+        assert got == a * ctx.eta_pow(k), k
+        assert got.coeffs == _ref_mul(h, a.coeffs, eta_k), k
+        _assert_canonical(got)
+        assert got.den == a.den
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(min_value=2, max_value=12), data=st.data())
+def test_sum_is_chained_addition(h, data):
+    ctx = cyc_context(h)
+    xs = data.draw(st.lists(_scalars(h), min_size=0, max_size=8))
+    if data.draw(st.booleans()):
+        # cancel a prefix, interleaved, so partial sums are not zero
+        cut = data.draw(st.integers(min_value=0, max_value=len(xs)))
+        xs = xs + [-x for x in xs[:cut]]
+        xs = data.draw(st.permutations(xs))
+    chained = ctx.zero
+    for x in xs:
+        chained = chained + x
+    got = ctx.sum(xs)
+    assert got == chained
+    _assert_canonical(got)
+    if got.is_zero():
+        assert (got.num, got.den) == ((0,) * ctx.deg, 1)
+
+
+def test_sum_reduces_and_cancels_to_canonical_zero():
+    ctx = cyc_context(6)
+    half = ctx.from_rat(Fraction(1, 2))
+    third = ctx.eta_pow(1) * Fraction(1, 3)
+    one = ctx.sum([half, half])
+    assert (one.num, one.den) == ((1, 0), 1)
+    assert ctx.sum([third, half, -third]) == half
+    zero = ctx.sum([third, half, -half, -third])
+    assert (zero.num, zero.den) == ((0, 0), 1)
+    assert ctx.sum([]) == ctx.zero
+
+
+def test_sum_rejects_another_context():
+    from anrec.exactnum import ContextMismatchError
+    with pytest.raises(ContextMismatchError):
+        cyc_context(5).sum([cyc_context(5).one, cyc_context(7).one])

@@ -43,6 +43,32 @@ def test_elem_sym_cross_coefficient_bruteforce():
     assert got == acc
 
 
+def _chi_product_state(rd, subset):
+    # prod_{i in subset} chi_i, chi_i = sum_b eta^(-ib) gamma_b, multiplied out
+    # with plain * and + over sorted gamma-multisets
+    acc = {(): rd.ctx.one}
+    for i in subset:
+        nxt = {}
+        for key, c in acc.items():
+            for b in range(1, rd.N + 1):
+                k = tuple(sorted(key + (b,)))
+                nxt[k] = nxt.get(k, rd.ctx.zero) + c * rd.eta(-i * b)
+        acc = nxt
+    return acc
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_elem_sym_state_is_sum_of_subset_products(N):
+    rd = RootData(N)
+    for r in range(1, rd.h + 1):
+        want = {}
+        for subset in combinations(range(1, rd.h + 1), r):
+            for key, c in _chi_product_state(rd, subset).items():
+                want[key] = want.get(key, rd.ctx.zero) + c
+        want = {k: c for k, c in want.items() if not c.is_zero()}
+        assert elem_sym_state(rd, r).terms == want, (N, r)
+
+
 @pytest.mark.parametrize("N", range(1, 6))
 def test_bracket_state_equals_elementary(N):
     rd = RootData(N)
