@@ -36,6 +36,7 @@ from .genus0 import Profile, WellFoundednessError, euler_check, solve, wdvv_chec
 from .recursion import ConsistencyError, solve_recursion, wconstraint_report
 from .reporting import CheckReport, SuiteReport
 from .rootsys import RootData, cbracket_state, elem_sym_state, vandermonde_coeff
+from .series import MAX_DEGREE
 
 PRNG_NAME = "mersenne-twister (CPython random module)"
 EXIT_BROKEN_PIPE = 141
@@ -275,6 +276,14 @@ def _nonneg(text: str) -> int:
     return value
 
 
+def _degree(text: str) -> int:
+    # a packed monomial holds degrees up to MAX_DEGREE
+    value = _nonneg(text)
+    if value > MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DEGREE}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="anrec",
                                  description="exact residue recursion toolkit")
@@ -294,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("potential", help="solve the recursion and print the table")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--genus", type=_nonneg, default=0)
-    p.add_argument("--degree", type=_nonneg, default=5)
+    p.add_argument("--degree", type=_degree, default=5)
     p.add_argument("--m-in", dest="m_in", type=_nonneg, default=0)
     common(p)
     p.set_defaults(func=cmd_potential)
@@ -303,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.add_argument("--h", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--degree", type=_nonneg, default=5)
+    p.add_argument("--degree", type=_degree, default=5)
     p.add_argument("--genus", type=_nonneg, default=1)
-    p.add_argument("--cap", type=_nonneg, default=3)
+    p.add_argument("--cap", type=_degree, default=3)
     p.add_argument("--m-max", dest="m_max", type=_nonneg, default=1)
     p.add_argument("--m-in", dest="m_in", type=_nonneg, default=0)
     p.add_argument("--trials", type=int, default=100)

@@ -37,7 +37,6 @@ ever materialised.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -163,11 +162,6 @@ def _block_plans(u_d: int, n_pool: int, g_rem: int, rem_deg: int) -> tuple[tuple
                     dvec = tuple(e + md for e, md in zip(extra, min_deg))
                     out.append((partition, pool_assign, gvec, dvec))
     return tuple(out)
-
-
-def _input_monomial(vs: list[Var]) -> SparsePoly:
-    """The product of the input variables ``vs``, with coefficient 1."""
-    return SparsePoly(None, {tuple(sorted(Counter(vs).items())): Fraction(1)})
 
 
 # Slot descriptors for the two field bases.
@@ -437,7 +431,7 @@ class DescendantSolver:
             if pool or g_rem != 0 or q != q_target or rem_deg != 0:
                 return
             scalar = pair_scalar.rotate(k_sum)
-            yield (scalar if sign > 0 else -scalar), _input_monomial(xt_vars)
+            yield (scalar if sign > 0 else -scalar), SparsePoly.monomial(xt_vars)
             return
         span = q - q_target
         if span < u_d * h or span % h:
@@ -469,7 +463,7 @@ class DescendantSolver:
                         poly = poly * w
                     elif xt_vars:
                         if base is None:
-                            base = _input_monomial(xt_vars)
+                            base = SparsePoly.monomial(xt_vars)
                         poly = base * w
                     else:
                         poly = w

@@ -6,6 +6,23 @@ flat index 1 <= a <= N.  The level-0 slots are the primary variables, so
 lambda^(1/h) as plain integers q, which makes the residue slot exactly
 q = -h and avoids rational exponent arithmetic.
 
+A :class:`SparsePoly` stores each monomial as one packed ``int``: byte 0 is
+the total degree and byte i + 1 the exponent of the i-th ``Var`` of a
+registry owned by this module, which gives a ``Var`` its byte on first use
+and never moves it.  Keys therefore depend on the order in which a process
+first meets its variables; everything that leaves the module decodes them
+and sorts.  A monomial product is one integer addition, the degree of a key
+is ``key & 255``, and a derivative subtracts the variable's byte and one
+degree.  Degrees are limited to ``MAX_DEGREE`` = 255, so no byte ever
+carries into the next; a monomial or product past it raises
+``OverflowError``.
+Over Q the coefficients are ``int`` numerators over one positive
+denominator, in lowest terms (zero is no terms over 1), so ``==`` compares
+the stored integers and no ``Fraction`` is formed by a product, sum or
+derivative.  Over Q(eta) they are :class:`CycScalar` values over 1.
+``SparsePoly(domain, {mono: c})`` takes tuple monomials, and ``.terms`` is a
+read-only decoded view in the same form, for tests and output.
+
 No stored coefficient is ever zero: every sparse sum in the package, here
 and in ``rootsys`` and ``genus0``, goes through the one loop
 :func:`_accumulate`, which drops a key as soon as its sum is exactly zero.
@@ -13,14 +30,19 @@ and in ``rootsys`` and ``genus0``, goes through the one loop
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import not_
-from typing import Callable, Iterable, NamedTuple, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .exactnum import (
+    ContextMismatchError,
     CycContext,
     CycScalar,
+    NotRationalError,
     Rat,
+    _norm,
     parse_rat,
     rat_str,
 )
@@ -42,6 +64,13 @@ Mono = tuple[tuple[Var, int], ...]
 Scalar = Union[Rat, CycScalar]
 # domain None means Q; a CycContext means Q(eta) for that h.
 Domain = Union[None, CycContext]
+
+MAX_DEGREE = 255
+
+# the Var registry of the packed monomials: the exponent of _VARS[i] is the
+# byte at bit offset _SHIFT[_VARS[i]] = 8 * (i + 1)
+_VARS: list[Var] = []
+_SHIFT: dict[Var, int] = {}
 
 
 class DomainMismatchError(ValueError):
@@ -65,64 +94,108 @@ def _zero_test(domain: Domain) -> Callable[[Scalar], bool]:
     return not_ if domain is None else CycScalar.is_zero
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    out: list[tuple[Var, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _degree_error(d: int) -> OverflowError:
+    return OverflowError(f"monomial degree {d} exceeds the limit {MAX_DEGREE}")
 
 
-def mono_degree(mono: Mono) -> int:
-    return sum(e for _, e in mono)
+def _shift(v: Var) -> int:
+    """The bit offset of the exponent byte of v, assigned on first use."""
+    s = _SHIFT.get(v)
+    if s is None:
+        _VARS.append(v)
+        s = _SHIFT[v] = 8 * len(_VARS)
+    return s
+
+
+def _pack(mono: Mono) -> int:
+    key = deg = 0
+    for v, e in mono:
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of {v}")
+        key += e << _shift(v)
+        deg += e
+    if deg > MAX_DEGREE:
+        raise _degree_error(deg)
+    return key + deg
+
+
+def _unpack(key: int) -> Mono:
+    out = []
+    for v in _VARS:
+        key >>= 8
+        if not key:
+            break
+        if key & 255:
+            out.append((v, key & 255))
+    return tuple(sorted(out))
+
+
+def _poly(domain: Domain, num: dict, den: int = 1) -> "SparsePoly":
+    """A polynomial from packed terms already in canonical form."""
+    p = object.__new__(SparsePoly)
+    p.domain = domain
+    p.num = num
+    p.den = den
+    return p
+
+
+def _make(domain: Domain, num: dict, den: int) -> "SparsePoly":
+    """A polynomial from packed terms with no zero value; over Q, put in lowest terms."""
+    if domain is None and den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: c // g for k, c in num.items()}
+    return _poly(domain, num, den)
 
 
 class SparsePoly:
     """Multivariate polynomial with exact scalar coefficients.
 
-    Instances are immutable by convention: no method mutates ``terms`` after
+    Instances are immutable by convention: no method mutates ``num`` after
     construction, so values are safe to share.  ``domain`` is ``None`` for
     rational coefficients or a :class:`CycContext` for cyclotomic ones;
-    operations require matching domains.
+    operations require matching domains.  ``num`` maps packed monomials to
+    numerators over the one denominator ``den`` (always 1 over Q(eta)).
     """
 
-    __slots__ = ("domain", "terms")
+    __slots__ = ("domain", "num", "den")
 
-    def __init__(self, domain: Domain, terms: dict[Mono, Scalar]):
-        self.domain = domain
-        self.terms = terms
+    def __init__(self, domain: Domain, terms: Mapping[Mono, Scalar]):
+        p = SparsePoly.from_terms(domain, terms.items())
+        self.domain, self.num, self.den = domain, p.num, p.den
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero(domain: Domain = None) -> "SparsePoly":
-        return SparsePoly(domain, {})
+        return _poly(domain, {})
 
     @staticmethod
     def constant(c: Scalar, domain: Domain = None) -> "SparsePoly":
-        return SparsePoly(domain, {} if _zero_test(domain)(c) else {(): c})
+        return SparsePoly.from_terms(domain, [((), c)])
 
     @staticmethod
     def variable(v: Var, domain: Domain = None) -> "SparsePoly":
-        one = Fraction(1) if domain is None else domain.one
-        return SparsePoly(domain, {((v, 1),): one})
+        return SparsePoly.monomial((v,), domain)
+
+    @staticmethod
+    def monomial(vs: Iterable[Var], domain: Domain = None) -> "SparsePoly":
+        """The product of the variables ``vs``, which may repeat, with coefficient 1."""
+        vs = tuple(vs)
+        if len(vs) > MAX_DEGREE:
+            raise _degree_error(len(vs))
+        return _poly(domain, {sum((1 << _shift(v)) + 1 for v in vs):
+                              1 if domain is None else domain.one})
 
     @staticmethod
     def from_terms(domain: Domain, items: Iterable[tuple[Mono, Scalar]]) -> "SparsePoly":
-        return SparsePoly(domain, _accumulate({}, items, _zero_test(domain)))
+        terms = _accumulate({}, ((_pack(m), c) for m, c in items), _zero_test(domain))
+        if domain is not None:
+            return _poly(domain, terms)
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        return _poly(None, {k: c.numerator * (den // c.denominator) for k, c in terms.items()},
+                     den)
 
     # -- ring operations -----------------------------------------------------
 
@@ -132,11 +205,14 @@ class SparsePoly:
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._chk(other)
-        return SparsePoly(self.domain, _accumulate(dict(self.terms), other.terms.items(),
-                                                   _zero_test(self.domain)))
+        den = math.lcm(self.den, other.den)
+        ua, ub = den // self.den, den // other.den
+        num = {k: c * ua for k, c in self.num.items()} if ua != 1 else dict(self.num)
+        items = other.num.items() if ub == 1 else ((k, c * ub) for k, c in other.num.items())
+        return _make(self.domain, _accumulate(num, items, _zero_test(self.domain)), den)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.domain, {m: -c for m, c in self.terms.items()})
+        return _poly(self.domain, {k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
@@ -152,61 +228,77 @@ class SparsePoly:
         # the one product loop: with a cap, a monomial pair whose degrees
         # sum past it is skipped before its coefficients are multiplied
         self._chk(other)
-        if deg_cap is None:
-            items = ((_mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items()
-                     for m2, c2 in other.terms.items())
+        a, b = self.num, other.num
+        if not a or not b:
+            return _poly(self.domain, {})
+        if deg_cap is None or deg_cap > MAX_DEGREE:
+            # a cap above the degree limit does not lift it
+            top = max(k & 255 for k in a) + max(k & 255 for k in b)
+            if top > MAX_DEGREE:
+                raise _degree_error(top)
+            items = ((k1 + k2, c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items())
         else:
-            right = [(m, c, mono_degree(m)) for m, c in other.terms.items()]
-            items = ((_mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items()
-                     for room in [deg_cap - mono_degree(m1)]
-                     for m2, c2, d2 in right if d2 <= room)
-        return SparsePoly(self.domain, _accumulate({}, items, _zero_test(self.domain)))
+            right = [(k, c, k & 255) for k, c in b.items()]
+            low = min(d for _, _, d in right)
+            left = [(k, c, r) for k, c in a.items() if (r := deg_cap - (k & 255)) >= low]
+            if not left:  # the two lowest degrees already pass the cap
+                return _poly(self.domain, {})
+            items = ((k1 + k2, c1 * c2) for k1, c1, room in left
+                     for k2, c2, d2 in right if d2 <= room)
+        return _make(self.domain, _accumulate({}, items, _zero_test(self.domain)),
+                     self.den * other.den)
 
     def scale(self, c: Scalar) -> "SparsePoly":
         # c may be a plain rational even when the domain is cyclotomic
         if c == 0:
-            return SparsePoly.zero(self.domain)
-        return SparsePoly(self.domain, {m: v * c for m, v in self.terms.items()})
+            return _poly(self.domain, {})
+        if self.domain is None:
+            p = c.numerator
+            return _make(None, {k: v * p for k, v in self.num.items()}, self.den * c.denominator)
+        return _poly(self.domain, {k: v * c for k, v in self.num.items()})
 
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
             raise ValueError("polynomials only take nonnegative powers")
-        one = Fraction(1) if self.domain is None else self.domain.one
-        out = SparsePoly.constant(one, self.domain)
+        out = SparsePoly.constant(1 if self.domain is None else self.domain.one, self.domain)
         for _ in range(n):
             out = out * self
         return out
 
     def diff(self, v: Var) -> "SparsePoly":
         """Exact partial derivative with respect to one variable slot."""
-        terms: dict[Mono, Scalar] = {}
-        for mono, c in self.terms.items():
-            for idx, (var, e) in enumerate(mono):
-                if var == v:
-                    new = mono[:idx] + ((var, e - 1),) if e > 1 else mono[:idx]
-                    new = new + mono[idx + 1:]
-                    terms[new] = c * e
-                    break
-        return SparsePoly(self.domain, terms)
+        s = _shift(v)
+        step = (1 << s) + 1
+        return _make(self.domain, {k - step: c * e for k, c in self.num.items()
+                                   if (e := (k >> s) & 255)}, self.den)
 
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def homo_part(self, d: int) -> "SparsePoly":
-        return SparsePoly(self.domain,
-                          {m: c for m, c in self.terms.items() if mono_degree(m) == d})
+        return _make(self.domain, {k: c for k, c in self.num.items() if k & 255 == d}, self.den)
 
     def coefficient(self, mono: Mono) -> Scalar:
-        c = self.terms.get(mono)
-        if c is not None:
-            return c
-        return Fraction(0) if self.domain is None else self.domain.zero
+        c = self.num.get(_pack(mono))
+        if self.domain is not None:
+            return self.domain.zero if c is None else c
+        return Fraction(0 if c is None else c, self.den)
 
     def variables(self) -> list[Var]:
-        vs = {v for mono in self.terms for v, _ in mono}
-        return sorted(vs)
+        bits = 0
+        for k in self.num:
+            bits |= k
+        return sorted(v for v in _VARS if (bits >> _SHIFT[v]) & 255)
+
+    @property
+    def terms(self) -> Mapping[Mono, Scalar]:
+        """The terms decoded to tuple monomials and ``Fraction``/``CycScalar`` values."""
+        if self.domain is not None:
+            return MappingProxyType({_unpack(k): c for k, c in self.num.items()})
+        den = self.den
+        return MappingProxyType({_unpack(k): Fraction(c, den) for k, c in self.num.items()})
 
     # -- domain moves ----------------------------------------------------------
 
@@ -214,26 +306,24 @@ class SparsePoly:
         """Checked demotion Q(eta) -> Q; raises if any eta-part survives."""
         if self.domain is None:
             return self
-        terms: dict[Mono, Scalar] = {}
-        for m, c in self.terms.items():
-            q = c.to_rational()  # raises NotRationalError with the offender
-            if q != 0:
-                terms[m] = q
-        return SparsePoly(None, terms)
+        for c in self.num.values():
+            if not c.is_rational():
+                raise NotRationalError(c)
+        den = math.lcm(*(c.den for c in self.num.values()))
+        return _poly(None, {k: c.num[0] * (den // c.den) for k, c in self.num.items()}, den)
 
     # -- value semantics ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.domain is other.domain and self.terms == other.terms
+        return self.domain is other.domain and self.den == other.den and self.num == other.num
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
+        for mono, c in sorted(self.terms.items()):
             factors = "*".join(
                 str(v) if e == 1 else f"{v}^{e}" for v, e in mono)
             cs = rat_str(c) if isinstance(c, Fraction) else f"({c})"
@@ -248,8 +338,7 @@ class SparsePoly:
         vars_ = self.variables()
         index = {v: i for i, v in enumerate(vars_)}
         terms = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
+        for mono, c in sorted(self.terms.items()):
             coeff = rat_str(c) if isinstance(c, Fraction) else c.to_json()
             terms.append({"exps": [[index[v], e] for v, e in mono], "coeff": coeff})
         out = {"vars": [[v.m, v.a] for v in vars_], "terms": terms}
@@ -275,9 +364,38 @@ class SparsePoly:
 
 
 def weighted_sum(ctx: CycContext, parts: Iterable[tuple[CycScalar, SparsePoly]]) -> SparsePoly:
-    """sum of scalar * poly over Q(eta), for (scalar, rational poly) pairs ``parts``."""
-    return SparsePoly.from_terms(ctx, ((mono, s * c) for s, poly in parts
-                                       for mono, c in poly.terms.items()))
+    """sum of scalar * poly over Q(eta), for (scalar, rational poly) pairs ``parts``.
+
+    Integer numerators are summed per (monomial, eta-power) key, grouped by
+    the denominator ``scalar.den * poly.den``; the groups meet over one lcm,
+    and each monomial becomes one scalar in lowest terms.
+    """
+    d = ctx.deg
+    groups: dict[int, dict[int, int]] = {}
+    for s, poly in parts:
+        if s.ctx is not ctx:
+            raise ContextMismatchError(f"mixed cyclotomic contexts h={ctx.h} and h={s.ctx.h}")
+        if poly.domain is not None:
+            raise DomainMismatchError("weighted_sum takes rational polynomials")
+        acc = groups.get(s.den * poly.den)
+        if acc is None:
+            acc = groups[s.den * poly.den] = {}
+        row = [(i, x) for i, x in enumerate(s.num) if x]
+        _accumulate(acc, ((k * d + i, c * x) for k, c in poly.num.items() for i, x in row), not_)
+    den = math.lcm(*groups)
+    total: dict[int, int] = {}
+    for gden, acc in groups.items():
+        up = den // gden
+        _accumulate(total, acc.items() if up == 1 else ((k, c * up) for k, c in acc.items()),
+                    not_)
+    vecs: dict[int, list[int]] = {}
+    for key, c in total.items():
+        k, i = divmod(key, d)
+        vec = vecs.get(k)
+        if vec is None:
+            vec = vecs[k] = [0] * d
+        vec[i] = c
+    return _poly(ctx, {k: _norm(ctx, vec, den) for k, vec in vecs.items()})
 
 
 class LambdaSeries:

@@ -261,6 +261,16 @@ def test_rank_one_genus_five_content_hash(capsys):
         "a3eb521de8274e11ff2f6ca1d39dbc3b56ce78b4f2ba60c94cfe91bb0d2b5dca"
 
 
+def test_rank_one_genus_six_descendant_content_hash(capsys):
+    # a rank-1 table bound by sparse-polynomial products: a faster product
+    # kernel must reproduce these bytes exactly
+    code, out, _ = run(capsys, "potential", "--n", "1", "--genus", "6",
+                       "--degree", "14", "--m-in", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["content_hash"] == \
+        "86889c99b53bc282606e570064a760d6679b10a40bda944d695c21fc8f820dc3"
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("--n", "5", "--degree", "7"),
      "78e5309b95c5ef87fcc7fe6f85fb24960622406bd641f9cbf9a845bb9fc4697e"),
@@ -270,6 +280,8 @@ def test_rank_one_genus_five_content_hash(capsys):
      "8c610f7c20b3a5ce1a21c06f3b80f4a09a2d56b258ca6e2b6ea225703ff91fb6"),
     (("--n", "7", "--degree", "7"),
      "715b8bb8a68d1d85f11758cfa943ee94086bacc23c3f1c18d360061f5b8449c3"),
+    (("--n", "3", "--degree", "8", "--m-in", "1"),
+     "61cc6244a464c57a7176c745afdf92ff885d351809ac77edfab62f83bb9351a1"),
 ])
 def test_genus0_potential_content_hash(capsys, argv, digest):
     # genus-zero tables, primary and descendant: a faster recursion or
@@ -296,6 +308,12 @@ def test_genus0_potential_content_hash(capsys, argv, digest):
     (("constants",), "constants requires --h"),
     (("potential",), "potential requires --n"),
     (("constants", "--h", "4", "--tuple", "9"), "bad tuple"),
+    # a packed monomial holds degrees up to 255
+    (("potential", "--n", "2", "--degree", "256"), "--degree"),
+    (("verify", "wdvv", "--n", "2", "--degree", "256"), "--degree"),
+    (("verify", "euler", "--n", "2", "--degree", "300"), "--degree"),
+    (("verify", "wconstraint", "--n", "2", "--degree", "256"), "--degree"),
+    (("verify", "wconstraint", "--n", "2", "--cap", "256"), "--cap"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -1,14 +1,16 @@
 """Polynomial, Laurent-object, and Y-polynomial tests."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anrec.exactnum import cyc_context
+from anrec.exactnum import ContextMismatchError, NotRationalError, cyc_context
 from anrec.series import LambdaSeries, SparsePoly, Var, YPoly, weighted_sum
-from truncation import up_to_degree
+from truncation import mono_degree, up_to_degree
 
 
 def V(m, a):
@@ -289,3 +291,152 @@ def test_no_user_of_the_shared_sum_stores_a_zero(domain, data):
         solver.p_poly(0, a)
     assert all(_no_stored_zero(poly) for poly in solver._slices.values())
     assert all(_no_stored_zero(poly) for poly in solver._products.values())
+
+
+# -- the packed kernel against a reference on decoded terms ------------------------
+#
+# The reference works on ``.terms`` only: monomials merge through ``Counter``
+# and coefficients add as ``Fraction``s (or field scalars over Q(eta)), so it
+# shares no loop with the packed kernel.
+
+_KVARS = [Var(m, a) for m in range(3) for a in range(1, 4)]
+_KRAT = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+def _kernel_polys(domain):
+    mono = st.dictionaries(st.sampled_from(_KVARS), st.integers(1, 6), max_size=3).map(
+        lambda exps: tuple(sorted(exps.items())))
+    if domain is None:
+        coeff = _KRAT
+    else:
+        coeff = st.lists(st.tuples(_KRAT, st.integers(0, domain.h - 1)), min_size=1,
+                         max_size=2).map(lambda cs: domain.sum(
+                             domain.from_rat(q) * domain.eta_pow(k) for q, k in cs))
+    # repeated monomials are summed by the constructor
+    return st.lists(st.tuples(mono, coeff), max_size=6).map(
+        lambda items: SparsePoly.from_terms(domain, items))
+
+
+def _zero(domain):
+    return Fraction(0) if domain is None else domain.zero
+
+
+def _ref_sum(pairs, zero):
+    acc = {}
+    for mono, c in pairs:
+        acc[mono] = acc.get(mono, zero) + c
+    return {mono: c for mono, c in acc.items() if c != 0}
+
+
+def _merge(*monos):
+    total = Counter()
+    for mono in monos:
+        total.update(dict(mono))
+    return tuple(sorted((v, e) for v, e in total.items() if e))
+
+
+def _ref_mul(p, q, cap=None):
+    return _ref_sum(((_merge(m1, m2), c1 * c2) for m1, c1 in p.terms.items()
+                     for m2, c2 in q.terms.items()
+                     if cap is None or mono_degree(m1) + mono_degree(m2) <= cap),
+                    _zero(p.domain))
+
+
+def _ref_diff(p, v):
+    out = {}
+    for mono, c in p.terms.items():
+        e = dict(mono).get(v, 0)
+        if e:
+            out[_merge(mono, ((v, -1),))] = c * e
+    return out
+
+
+def _assert_canonical(p):
+    # byte 0 of every key is the sum of its exponent bytes
+    for key in p.num:
+        rest, deg = key >> 8, 0
+        while rest:
+            deg, rest = deg + (rest & 255), rest >> 8
+        assert key & 255 == deg
+    if p.domain is None:
+        assert p.den > 0 and all(isinstance(c, int) and c for c in p.num.values())
+        assert math.gcd(p.den, *p.num.values()) == 1
+    else:
+        assert p.den == 1 and all(not c.is_zero() for c in p.num.values())
+    assert SparsePoly(p.domain, p.terms) == p
+
+
+def _check(got, want_terms):
+    _assert_canonical(got)
+    assert dict(got.terms) == want_terms
+    assert got == SparsePoly(got.domain, want_terms)
+
+
+@pytest.mark.parametrize("domain", [None, _CTX], ids=["Q", "Q(eta)"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_packed_kernel_matches_reference(domain, data):
+    p, q = data.draw(_kernel_polys(domain)), data.draw(_kernel_polys(domain))
+    cap = data.draw(st.integers(-1, 30))
+    v = data.draw(st.sampled_from(_KVARS))
+    c = data.draw(_KRAT)
+    d = data.draw(st.integers(0, 18))
+    vs = data.draw(st.lists(st.sampled_from(_KVARS), max_size=8))
+    zero = _zero(domain)
+    _assert_canonical(p)
+    _check(p * q, _ref_mul(p, q))
+    _check(p.mul_capped(q, cap), _ref_mul(p, q, cap))
+    _check(p + q, _ref_sum(list(p.terms.items()) + list(q.terms.items()), zero))
+    _check(p - q, _ref_sum(list(p.terms.items()) + [(m, -x) for m, x in q.terms.items()],
+                           zero))
+    _check(p.scale(c), _ref_sum(((m, x * c) for m, x in p.terms.items()), zero))
+    _check(p.diff(v), _ref_diff(p, v))
+    _check(p.homo_part(d), {m: x for m, x in p.terms.items() if mono_degree(m) == d})
+    for mono in list(p.terms) + list(q.terms):
+        assert p.coefficient(mono) == p.terms.get(mono, zero)
+    one = Fraction(1) if domain is None else domain.one
+    _check(SparsePoly.monomial(vs, domain), {tuple(sorted(Counter(vs).items())): one})
+
+
+def test_degree_limit_of_packed_monomials():
+    t = x(0, 1)
+    top = t ** 255
+    assert top.terms == {((V(0, 1), 255),): 1}
+    assert SparsePoly.monomial([V(0, 1)] * 255) == top
+    with pytest.raises(OverflowError):
+        SparsePoly.monomial([V(0, 1)] * 128 + [V(0, 2)] * 128)
+    with pytest.raises(OverflowError):
+        top * t
+    with pytest.raises(OverflowError):
+        (t ** 200).mul_capped(t ** 100, 300)
+    with pytest.raises(OverflowError):
+        SparsePoly(None, {((V(0, 1), 200), (V(0, 2), 56)): Fraction(1)})
+    # the two lowest degrees pass the cap: zero, formed before any byte could carry
+    assert (t ** 200).mul_capped(t ** 100, 250).is_zero()
+
+
+# -- the Q(eta)-weighted sum --------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(st.tuples(_KRAT, _KRAT, st.integers(1, _CTX.h - 1),
+                                _kernel_polys(None)), max_size=4))
+def test_weighted_sum_with_cancelling_eta_parts_is_the_fraction_sum(parts):
+    ctx = _CTX
+    weighted = []
+    for r, a, k, p in parts:
+        eta_part = ctx.from_rat(a) * ctx.eta_pow(k)
+        weighted += [(ctx.from_rat(r) + eta_part, p), (-eta_part, p)]
+    want = _ref_sum(((m, r * c) for r, _, _, p in parts for m, c in p.terms.items()),
+                    Fraction(0))
+    got = weighted_sum(ctx, weighted)
+    _assert_canonical(got)
+    _check(got.demote(), want)
+
+
+def test_weighted_sum_checks_its_scalars():
+    ctx = _CTX
+    p = (x(0, 1) * x(1, 2)).scale(Fraction(1, 3)) + x(2, 3).scale(Fraction(5, 7))
+    with pytest.raises(NotRationalError):
+        weighted_sum(ctx, [(ctx.eta_pow(1), p), (ctx.one, p)]).demote()
+    with pytest.raises(ContextMismatchError):
+        weighted_sum(ctx, [(ctx.one, p), (cyc_context(4).one, p)])

@@ -4,7 +4,12 @@ The capped products skip monomial pairs before they multiply them; this
 reference forms everything and filters afterwards, so the two share no loop.
 """
 
-from anrec.series import SparsePoly, mono_degree
+from anrec.series import SparsePoly
+
+
+def mono_degree(mono) -> int:
+    """Total degree of a tuple monomial ((Var, exponent), ...)."""
+    return sum(e for _, e in mono)
 
 
 def up_to_degree(p: SparsePoly, d: int) -> SparsePoly:
