@@ -6,8 +6,9 @@ suites draw from CPython's seeded Mersenne Twister and echo seed and
 configuration into the report, so reruns are byte-identical.
 
 Exit codes: 0 all checks pass, 1 verification failure or internal
-consistency error, 2 usage error, 141 (128 + SIGPIPE, as a shell reports a
-process killed by SIGPIPE) when the reader closes standard output early.
+consistency error, 2 usage error or an output that cannot be written, 141
+(128 + SIGPIPE, as a shell reports a process killed by SIGPIPE) when the
+reader closes standard output early.
 ``potential`` prints its payload even when a verdict stamped into its
 ``checks`` fails, and then exits 1.
 """
@@ -57,15 +58,27 @@ def _emit(payload: dict, args) -> None:
 
 def _write(text: str, args) -> None:
     if not args.out:
-        print(text)
-        # a closed pipe raises here, inside main, not at interpreter exit
-        sys.stdout.flush()
+        try:
+            print(text)
+            # a failed write raises here, inside main, not at interpreter exit
+            sys.stdout.flush()
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            _stdout_to_devnull()
+            raise _Usage(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     try:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     except OSError as exc:
         raise _Usage(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+
+
+def _stdout_to_devnull() -> None:
+    # the SIGPIPE recipe of the Python docs: point standard output at
+    # devnull, so that the flush at interpreter exit cannot raise again
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _check_out(path: str) -> None:
@@ -338,9 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the SIGPIPE recipe of the Python docs: point standard output at
-        # devnull, so that the flush at interpreter exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
 
 

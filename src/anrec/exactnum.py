@@ -48,7 +48,7 @@ Rat = Fraction
 
 
 class NotRationalError(ValueError):
-    """A cyclotomic scalar with a genuine eta-part was demoted to Q."""
+    """A cyclotomic scalar with a genuine eta-part was asked for as a rational."""
 
     def __init__(self, scalar: "CycScalar"):
         self.scalar = scalar

@@ -9,8 +9,9 @@ higher-genus engine assembles its free energies with the same two functions,
 :func:`euler_potential` and :func:`mixed_partials`.  The primary potential
 is stamped with associativity (WDVV) and Euler-homogeneity reports.
 
-All intermediate arithmetic happens in Q(eta); each finished slice is
-demoted to Q, which fails loudly if any eta-part survives.
+The SymC weights live in Q(eta) and the slot products in Q; each slice
+is their :func:`anrec.series.weighted_sum`, which fails loudly if any
+eta-part survives.
 
 Terms that cannot reach the output are never formed.  The right side sums
 over multisets of slot indices with SymC weights, not over ordered tuples,
@@ -157,7 +158,7 @@ class G0Solver:
                 weight = self._weight(mu)
                 if not weight.is_zero():
                     parts.append((weight, part))
-        return (-weighted_sum(rd.ctx, parts)).demote()
+        return -weighted_sum(rd.ctx, parts)
 
     def _slot_product(self, slots: tuple[int, ...], tail_max: int,
                       factor_cap: int, prod_cap: int) -> SparsePoly:
@@ -209,7 +210,7 @@ class G0Solver:
                 acc = acc + self.p_slice(mp, h - a, d)
             if not acc.is_zero():
                 terms[-(mp + 1) * h] = acc
-        got = self._fields[key] = LambdaSeries(h, None, terms)
+        got = self._fields[key] = LambdaSeries(h, terms)
         return got
 
     # -- outputs ---------------------------------------------------------------

@@ -26,10 +26,9 @@ weight (a+1)/h - m, every monomial of F_g weighs (2 + 2/h)(1 - g), and
 :func:`anrec.genus0._weight_allows` tells whether some d input variables
 can make up the weight a degree-d slice needs.
 
-Two field bases drive the same engine: the vanishing-cycle labels with
-propagator eta^(i+j)/(eta^i - eta^j)^2 and the gamma-basis with the diagonal
-propagator delta_{a+b,h} * a(h-a)/(2h), both sitting in the lambda^(-2)
-slot.  Constraint residuals are evaluated in the unshifted frame: the
+Field slots are the vanishing-cycle labels 1..h; two of them contract to
+the propagator eta^(i+j)/(eta^i - eta^j)^2 in the lambda^(-2) slot.
+Constraint residuals are evaluated in the unshifted frame: the
 dilaton shift of the level-one top slot turns into finitely many constant
 field insertions of weight lambda^(1/h) per slot, so no shifted series is
 ever materialised.
@@ -40,11 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from itertools import product as iproduct
 
 from . import genus0
-from .combinatorics import c_bracket
 from .exactnum import CycScalar
 from .genus0 import (
     Profile,
@@ -72,13 +70,6 @@ def propagator(rd: RootData, i: int, j: int) -> CycScalar:
         raise ValueError("propagator labels must differ")
     diff = rd.eta(i) - rd.eta(j)
     return (diff * diff).inv().rotate(i + j)
-
-
-def gamma_propagator(rd: RootData, a: int, b: int) -> CycScalar:
-    """The same pairing on the gamma-basis: delta_{a+b,h} * a(h-a) / (2h)."""
-    if a + b != rd.h:
-        return rd.ctx.zero
-    return rd.ctx.from_rat(Fraction(a * (rd.h - a), 2 * rd.h))
 
 
 def _pair_sets(items: tuple) -> list[tuple]:
@@ -164,12 +155,6 @@ def _block_plans(u_d: int, n_pool: int, g_rem: int, rem_deg: int) -> tuple[tuple
     return tuple(out)
 
 
-# Slot descriptors for the two field bases.
-# ('chi', label) expands over all flat indices with eta weights;
-# ('gamma', b) is a fixed flat index with unit weight.
-Slot = tuple[str, int]
-
-
 class DescendantSolver:
     """Memoised engine for restricted multi-derivatives of the free energies."""
 
@@ -183,14 +168,8 @@ class DescendantSolver:
 
     # -- scalar caches -------------------------------------------------------
 
-    def _pair_value(self, s1: Slot, s2: Slot) -> CycScalar:
-        kind1, v1 = s1
-        kind2, v2 = s2
-        if kind1 != kind2:
-            raise ConsistencyError("cannot pair slots from different bases")
-        if kind1 == "gamma":
-            return gamma_propagator(self.rd, v1, v2)
-        key = (min(v1, v2), max(v1, v2))
+    def _pair_value(self, i: int, j: int) -> CycScalar:
+        key = (min(i, j), max(i, j))
         got = self._prop.get(key)
         if got is None:
             got = propagator(self.rd, key[0], key[1])
@@ -250,19 +229,18 @@ class DescendantSolver:
                     ks = self._kernel_scalar(labels, a)
                     if ks.is_zero():
                         continue
-                    slots = tuple(("chi", l) for l in labels)
-                    for scalar, poly in self._cluster(slots, g, ext, q_target, d, False):
+                    for scalar, poly in self._cluster(labels, g, ext, q_target, d, False):
                         yield ks * scalar, poly
 
-        total = weighted_sum(rd.ctx, parts()).scale(Fraction(-1, h)).demote()
-        return total.scale(Fraction(1, norm_factor(h, m, a)))
+        return weighted_sum(rd.ctx, parts()).scale(Fraction(-1, h * norm_factor(h, m, a)))
 
     # -- the cluster expansion ---------------------------------------------------
 
-    def _cluster(self, slots: tuple[Slot, ...], g: int, externals: tuple[Var, ...],
+    def _cluster(self, slots: tuple[int, ...], g: int, externals: tuple[Var, ...],
                  q_target: int, d_target: int, shift: bool):
         """Yield (scalar, rational polynomial) for every contributing configuration.
 
+        ``slots`` are distinct labels, so no pair of them contracts to zero.
         ``externals`` are pending derivative directions: each lands either on
         an input mode of one slot or inside one derivative block.  ``shift``
         enables the constant insertion that realises the dilaton shift of the
@@ -278,8 +256,6 @@ class DescendantSolver:
             pair_scalar = rd.ctx.one
             for (s1, s2) in pairs:
                 pair_scalar = pair_scalar * self._pair_value(slots[s1], slots[s2])
-            if pair_scalar.is_zero():
-                continue
             paired = {x for pr in pairs for x in pr}
             rest = tuple(i for i in positions if i not in paired)
             q_pairs = -2 * h * p
@@ -360,8 +336,8 @@ class DescendantSolver:
 
         yield from walk(0, 0, 0, False, ())
 
-    def _slot_choices(self, slot: Slot, ext: Var | None, shift: bool) -> list[tuple]:
-        """Mode options for one unpaired slot.
+    def _slot_choices(self, l: int, ext: Var | None, shift: bool) -> list[tuple]:
+        """Mode options for one unpaired slot of label l.
 
         Each option is (kind, sign, k, q, payload) with slot weight
         sign * eta^k: kind 'x' carries an input variable, 'c' a constant
@@ -369,31 +345,16 @@ class DescendantSolver:
         derivative mode whose level is fixed later by the exponent budget.
         """
         rd = self.rd
-        kind, val = slot
         out: list[tuple] = []
-        if kind == "chi":
-            l = val
-            if ext is not None:
-                out.append(("c", 1, -l * ext.a, ext.m * rd.h - ext.a, None))
-                return out
-            for b in range(1, rd.N + 1):
-                for k in range(self.m_in + 1):
-                    out.append(("x", 1, -l * b, k * rd.h - b, Var(k, b)))
-                out.append(("d", 1, -l * b, -b, b))
-            if shift:
-                out.append(("c", -1, -l * rd.N, 1, None))
-            return out
-        b = val
         if ext is not None:
-            if ext.a != b:
-                return []
-            out.append(("c", 1, 0, ext.m * rd.h - b, None))
+            out.append(("c", 1, -l * ext.a, ext.m * rd.h - ext.a, None))
             return out
-        for k in range(self.m_in + 1):
-            out.append(("x", 1, 0, k * rd.h - b, Var(k, b)))
-        out.append(("d", 1, 0, -b, b))
-        if shift and b == rd.N:
-            out.append(("c", -1, 0, 1, None))
+        for b in range(1, rd.N + 1):
+            for k in range(self.m_in + 1):
+                out.append(("x", 1, -l * b, k * rd.h - b, Var(k, b)))
+            out.append(("d", 1, -l * b, -b, b))
+        if shift:
+            out.append(("c", -1, -l * rd.N, 1, None))
         return out
 
     def _finish(self, combo, pair_scalar: CycScalar, q_pairs: int,
@@ -475,10 +436,13 @@ class DescendantSolver:
 
     # -- exposed evaluations ------------------------------------------------------
 
-    def constraint_residual(self, a: int, m: int, cap: int, genus_cap: int,
-                            basis: str = "chi") -> dict[int, SparsePoly]:
+    def constraint_residual(self, a: int, m: int, cap: int,
+                            genus_cap: int) -> dict[int, SparsePoly]:
         """Residue of lambda^m against the degree-(h+1-a) symmetric state,
         applied in the unshifted frame; returns one polynomial per grade.
+
+        The degree-r state is the elementary symmetric polynomial in the
+        labels: one slot tuple per r-subset of 1..h, each with weight one.
 
         A grade-g component is exact once the memoised table is complete
         through genus g, and the contract is that every component vanishes
@@ -493,28 +457,12 @@ class DescendantSolver:
         out: dict[int, SparsePoly] = {}
         for g in range(genus_cap + 1):
             out[g] = weighted_sum(rd.ctx, (
-                (coeff * scalar, poly)
-                for coeff, members in self._state_slots(r, basis)
+                part
+                for labels in combinations(range(1, h + 1), r)
                 for d in range(cap + 1)
-                for scalar, poly in self._cluster(members, g, (), q_target, d, True)
-            )).demote()
+                for part in self._cluster(labels, g, (), q_target, d, True)
+            ))
         return out
-
-    def _state_slots(self, r: int, basis: str):
-        """Slot tuples (with scalar weights) expanding the degree-r state."""
-        rd = self.rd
-        if basis == "chi":
-            for labels in combinations(range(1, rd.h + 1), r):
-                yield rd.ctx.one, tuple(("chi", l) for l in labels)
-        elif basis == "gamma":
-            for tup in combinations_with_replacement(range(1, rd.N + 1), r):
-                if sum(tup) % rd.h:
-                    continue
-                coeff = c_bracket(rd, tup) * rd.h
-                if not coeff.is_zero():
-                    yield coeff, tuple(("gamma", b) for b in tup)
-        else:
-            raise ValueError("basis must be 'chi' or 'gamma'")
 
     def perturb(self, g: int, dirs: tuple[Var, ...], d: int,
                 delta: SparsePoly) -> None:
@@ -587,11 +535,11 @@ def solve_recursion(rd: RootData, genus_cap: int, degree_cap: int,
 
 
 def w_residual(table: PotentialTable, a: int, m: int, cap: int,
-               genus_cap: int | None = None, basis: str = "chi") -> dict[int, SparsePoly]:
+               genus_cap: int | None = None) -> dict[int, SparsePoly]:
     """Constraint residual per grade on a solved table (zero is the contract)."""
     if genus_cap is None:
         genus_cap = max(table.potentials)
-    return table.solver.constraint_residual(a, m, cap, genus_cap, basis=basis)
+    return table.solver.constraint_residual(a, m, cap, genus_cap)
 
 
 def wconstraint_report(table: PotentialTable, a: int, m: int, cap: int,

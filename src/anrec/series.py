@@ -1,4 +1,4 @@
-"""Sparse exact polynomials, Laurent objects in a fractional power, and Y-polynomials.
+"""Sparse rational polynomials, Laurent objects in a fractional power, and Y-polynomials.
 
 Polynomial variables are descendant slots ``Var(m, a)``: level m >= 0 and
 flat index 1 <= a <= N.  The level-0 slots are the primary variables, so
@@ -16,11 +16,13 @@ is ``key & 255``, and a derivative subtracts the variable's byte and one
 degree.  Degrees are limited to ``MAX_DEGREE`` = 255, so no byte ever
 carries into the next; a monomial or product past it raises
 ``OverflowError``.
-Over Q the coefficients are ``int`` numerators over one positive
+Coefficients are rational: ``int`` numerators over one positive
 denominator, in lowest terms (zero is no terms over 1), so ``==`` compares
 the stored integers and no ``Fraction`` is formed by a product, sum or
-derivative.  Over Q(eta) they are :class:`CycScalar` values over 1.
-``SparsePoly(domain, {mono: c})`` takes tuple monomials, and ``.terms`` is a
+derivative.  Q(eta) enters only through :func:`weighted_sum`, which adds
+cyclotomic multiples of rational polynomials and returns the rational sum,
+raising :class:`NotRationalError` if an eta-part survives.
+``SparsePoly(None, {mono: c})`` takes tuple monomials, and ``.terms`` is a
 read-only decoded view in the same form, for tests and output.
 
 No stored coefficient is ever zero: every sparse sum in the package, here
@@ -34,7 +36,7 @@ import math
 from fractions import Fraction
 from operator import not_
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .exactnum import (
     ContextMismatchError,
@@ -61,10 +63,6 @@ class Var(NamedTuple):
 # A monomial is a tuple of (Var, positive exponent) pairs sorted by Var.
 Mono = tuple[tuple[Var, int], ...]
 
-Scalar = Union[Rat, CycScalar]
-# domain None means Q; a CycContext means Q(eta) for that h.
-Domain = Union[None, CycContext]
-
 MAX_DEGREE = 255
 
 # the Var registry of the packed monomials: the exponent of _VARS[i] is the
@@ -87,11 +85,6 @@ def _accumulate(terms: dict, items: Iterable[tuple], is_zero: Callable[[object],
         else:
             terms[key] = c
     return terms
-
-
-def _zero_test(domain: Domain) -> Callable[[Scalar], bool]:
-    # looked up per call, so a wrapper installed on CycScalar.is_zero is seen
-    return not_ if domain is None else CycScalar.is_zero
 
 
 def _degree_error(d: int) -> OverflowError:
@@ -130,89 +123,81 @@ def _unpack(key: int) -> Mono:
     return tuple(sorted(out))
 
 
-def _poly(domain: Domain, num: dict, den: int = 1) -> "SparsePoly":
+def _poly(num: dict, den: int = 1) -> "SparsePoly":
     """A polynomial from packed terms already in canonical form."""
     p = object.__new__(SparsePoly)
-    p.domain = domain
     p.num = num
     p.den = den
     return p
 
 
-def _make(domain: Domain, num: dict, den: int) -> "SparsePoly":
-    """A polynomial from packed terms with no zero value; over Q, put in lowest terms."""
-    if domain is None and den != 1:
+def _make(num: dict, den: int) -> "SparsePoly":
+    """A polynomial from packed nonzero numerators over ``den``, put in lowest terms."""
+    if den != 1:
         g = math.gcd(den, *num.values())
         if g != 1:
             den //= g
             num = {k: c // g for k, c in num.items()}
-    return _poly(domain, num, den)
+    return _poly(num, den)
 
 
 class SparsePoly:
-    """Multivariate polynomial with exact scalar coefficients.
+    """Multivariate polynomial with rational coefficients.
 
     Instances are immutable by convention: no method mutates ``num`` after
-    construction, so values are safe to share.  ``domain`` is ``None`` for
-    rational coefficients or a :class:`CycContext` for cyclotomic ones;
-    operations require matching domains.  ``num`` maps packed monomials to
-    numerators over the one denominator ``den`` (always 1 over Q(eta)).
+    construction, so values are safe to share.  ``num`` maps packed
+    monomials to ``int`` numerators over the one denominator ``den``.  The
+    constructor's first argument names the coefficient field and must be
+    ``None``, the rationals.
     """
 
-    __slots__ = ("domain", "num", "den")
+    __slots__ = ("num", "den")
 
-    def __init__(self, domain: Domain, terms: Mapping[Mono, Scalar]):
-        p = SparsePoly.from_terms(domain, terms.items())
-        self.domain, self.num, self.den = domain, p.num, p.den
+    def __init__(self, domain: None, terms: Mapping[Mono, Rat]):
+        if domain is not None:
+            raise ValueError(f"polynomial coefficients are rational, not over {domain!r}")
+        p = SparsePoly.from_terms(terms.items())
+        self.num, self.den = p.num, p.den
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(domain: Domain = None) -> "SparsePoly":
-        return _poly(domain, {})
+    def zero() -> "SparsePoly":
+        return _poly({})
 
     @staticmethod
-    def constant(c: Scalar, domain: Domain = None) -> "SparsePoly":
-        return SparsePoly.from_terms(domain, [((), c)])
+    def constant(c: Rat) -> "SparsePoly":
+        return SparsePoly.from_terms([((), c)])
 
     @staticmethod
-    def variable(v: Var, domain: Domain = None) -> "SparsePoly":
-        return SparsePoly.monomial((v,), domain)
+    def variable(v: Var) -> "SparsePoly":
+        return SparsePoly.monomial((v,))
 
     @staticmethod
-    def monomial(vs: Iterable[Var], domain: Domain = None) -> "SparsePoly":
+    def monomial(vs: Iterable[Var]) -> "SparsePoly":
         """The product of the variables ``vs``, which may repeat, with coefficient 1."""
         vs = tuple(vs)
         if len(vs) > MAX_DEGREE:
             raise _degree_error(len(vs))
-        return _poly(domain, {sum((1 << _shift(v)) + 1 for v in vs):
-                              1 if domain is None else domain.one})
+        return _poly({sum((1 << _shift(v)) + 1 for v in vs): 1})
 
     @staticmethod
-    def from_terms(domain: Domain, items: Iterable[tuple[Mono, Scalar]]) -> "SparsePoly":
-        terms = _accumulate({}, ((_pack(m), c) for m, c in items), _zero_test(domain))
-        if domain is not None:
-            return _poly(domain, terms)
+    def from_terms(items: Iterable[tuple[Mono, Rat]]) -> "SparsePoly":
+        terms = _accumulate({}, ((_pack(m), c) for m, c in items), not_)
         den = math.lcm(*(c.denominator for c in terms.values()))
-        return _poly(None, {k: c.numerator * (den // c.denominator) for k, c in terms.items()},
-                     den)
+        return _poly({k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den)
 
     # -- ring operations -----------------------------------------------------
 
-    def _chk(self, other: "SparsePoly") -> None:
-        if self.domain is not other.domain:
-            raise DomainMismatchError("polynomials over different scalar domains")
-
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        self._chk(other)
         den = math.lcm(self.den, other.den)
         ua, ub = den // self.den, den // other.den
         num = {k: c * ua for k, c in self.num.items()} if ua != 1 else dict(self.num)
         items = other.num.items() if ub == 1 else ((k, c * ub) for k, c in other.num.items())
-        return _make(self.domain, _accumulate(num, items, _zero_test(self.domain)), den)
+        return _make(_accumulate(num, items, not_), den)
 
     def __neg__(self) -> "SparsePoly":
-        return _poly(self.domain, {k: -c for k, c in self.num.items()}, self.den)
+        return _poly({k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
@@ -227,10 +212,9 @@ class SparsePoly:
     def _mul(self, other: "SparsePoly", deg_cap: int | None) -> "SparsePoly":
         # the one product loop: with a cap, a monomial pair whose degrees
         # sum past it is skipped before its coefficients are multiplied
-        self._chk(other)
         a, b = self.num, other.num
         if not a or not b:
-            return _poly(self.domain, {})
+            return _poly({})
         if deg_cap is None or deg_cap > MAX_DEGREE:
             # a cap above the degree limit does not lift it
             top = max(k & 255 for k in a) + max(k & 255 for k in b)
@@ -242,25 +226,21 @@ class SparsePoly:
             low = min(d for _, _, d in right)
             left = [(k, c, r) for k, c in a.items() if (r := deg_cap - (k & 255)) >= low]
             if not left:  # the two lowest degrees already pass the cap
-                return _poly(self.domain, {})
+                return _poly({})
             items = ((k1 + k2, c1 * c2) for k1, c1, room in left
                      for k2, c2, d2 in right if d2 <= room)
-        return _make(self.domain, _accumulate({}, items, _zero_test(self.domain)),
-                     self.den * other.den)
+        return _make(_accumulate({}, items, not_), self.den * other.den)
 
-    def scale(self, c: Scalar) -> "SparsePoly":
-        # c may be a plain rational even when the domain is cyclotomic
+    def scale(self, c: Rat) -> "SparsePoly":
         if c == 0:
-            return _poly(self.domain, {})
-        if self.domain is None:
-            p = c.numerator
-            return _make(None, {k: v * p for k, v in self.num.items()}, self.den * c.denominator)
-        return _poly(self.domain, {k: v * c for k, v in self.num.items()})
+            return _poly({})
+        p = c.numerator
+        return _make({k: v * p for k, v in self.num.items()}, self.den * c.denominator)
 
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
             raise ValueError("polynomials only take nonnegative powers")
-        out = SparsePoly.constant(1 if self.domain is None else self.domain.one, self.domain)
+        out = SparsePoly.constant(1)
         for _ in range(n):
             out = out * self
         return out
@@ -269,8 +249,8 @@ class SparsePoly:
         """Exact partial derivative with respect to one variable slot."""
         s = _shift(v)
         step = (1 << s) + 1
-        return _make(self.domain, {k - step: c * e for k, c in self.num.items()
-                                   if (e := (k >> s) & 255)}, self.den)
+        return _make({k - step: c * e for k, c in self.num.items()
+                      if (e := (k >> s) & 255)}, self.den)
 
     # -- structure -----------------------------------------------------------
 
@@ -278,13 +258,10 @@ class SparsePoly:
         return not self.num
 
     def homo_part(self, d: int) -> "SparsePoly":
-        return _make(self.domain, {k: c for k, c in self.num.items() if k & 255 == d}, self.den)
+        return _make({k: c for k, c in self.num.items() if k & 255 == d}, self.den)
 
-    def coefficient(self, mono: Mono) -> Scalar:
-        c = self.num.get(_pack(mono))
-        if self.domain is not None:
-            return self.domain.zero if c is None else c
-        return Fraction(0 if c is None else c, self.den)
+    def coefficient(self, mono: Mono) -> Rat:
+        return Fraction(self.num.get(_pack(mono), 0), self.den)
 
     def variables(self) -> list[Var]:
         bits = 0
@@ -293,31 +270,17 @@ class SparsePoly:
         return sorted(v for v in _VARS if (bits >> _SHIFT[v]) & 255)
 
     @property
-    def terms(self) -> Mapping[Mono, Scalar]:
-        """The terms decoded to tuple monomials and ``Fraction``/``CycScalar`` values."""
-        if self.domain is not None:
-            return MappingProxyType({_unpack(k): c for k, c in self.num.items()})
+    def terms(self) -> Mapping[Mono, Rat]:
+        """The terms decoded to tuple monomials and ``Fraction`` values."""
         den = self.den
         return MappingProxyType({_unpack(k): Fraction(c, den) for k, c in self.num.items()})
-
-    # -- domain moves ----------------------------------------------------------
-
-    def demote(self) -> "SparsePoly":
-        """Checked demotion Q(eta) -> Q; raises if any eta-part survives."""
-        if self.domain is None:
-            return self
-        for c in self.num.values():
-            if not c.is_rational():
-                raise NotRationalError(c)
-        den = math.lcm(*(c.den for c in self.num.values()))
-        return _poly(None, {k: c.num[0] * (den // c.den) for k, c in self.num.items()}, den)
 
     # -- value semantics ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.domain is other.domain and self.den == other.den and self.num == other.num
+        return self.den == other.den and self.num == other.num
 
     def __repr__(self) -> str:
         if not self.num:
@@ -326,7 +289,7 @@ class SparsePoly:
         for mono, c in sorted(self.terms.items()):
             factors = "*".join(
                 str(v) if e == 1 else f"{v}^{e}" for v, e in mono)
-            cs = rat_str(c) if isinstance(c, Fraction) else f"({c})"
+            cs = rat_str(c)
             parts.append(cs if not factors else
                          factors if cs == "1" else
                          f"-{factors}" if cs == "-1" else f"{cs}*{factors}")
@@ -339,44 +302,32 @@ class SparsePoly:
         index = {v: i for i, v in enumerate(vars_)}
         terms = []
         for mono, c in sorted(self.terms.items()):
-            coeff = rat_str(c) if isinstance(c, Fraction) else c.to_json()
-            terms.append({"exps": [[index[v], e] for v, e in mono], "coeff": coeff})
-        out = {"vars": [[v.m, v.a] for v in vars_], "terms": terms}
-        if self.domain is not None:
-            out["scalar"] = {"h": self.domain.h}
-        return out
+            terms.append({"exps": [[index[v], e] for v, e in mono], "coeff": rat_str(c)})
+        return {"vars": [[v.m, v.a] for v in vars_], "terms": terms}
 
     @staticmethod
     def from_json(data: dict) -> "SparsePoly":
-        from .exactnum import cyc_context
-
-        domain: Domain = None
-        if "scalar" in data:
-            domain = cyc_context(int(data["scalar"]["h"]))
         vars_ = [Var(int(m), int(a)) for m, a in data["vars"]]
         items = []
         for t in data["terms"]:
             mono = tuple(sorted((vars_[i], int(e)) for i, e in t["exps"]))
-            coeff = (parse_rat(t["coeff"]) if isinstance(t["coeff"], str)
-                     else CycScalar.from_json(t["coeff"]))
-            items.append((mono, coeff))
-        return SparsePoly.from_terms(domain, items)
+            items.append((mono, parse_rat(t["coeff"])))
+        return SparsePoly.from_terms(items)
 
 
 def weighted_sum(ctx: CycContext, parts: Iterable[tuple[CycScalar, SparsePoly]]) -> SparsePoly:
-    """sum of scalar * poly over Q(eta), for (scalar, rational poly) pairs ``parts``.
+    """The rational polynomial sum of scalar * poly over (Q(eta) scalar, poly) pairs ``parts``.
 
     Integer numerators are summed per (monomial, eta-power) key, grouped by
-    the denominator ``scalar.den * poly.den``; the groups meet over one lcm,
-    and each monomial becomes one scalar in lowest terms.
+    the denominator ``scalar.den * poly.den``, and the groups meet over one
+    lcm.  Every eta-part must cancel: a monomial whose coefficient keeps one
+    raises :class:`NotRationalError` with that coefficient.
     """
     d = ctx.deg
     groups: dict[int, dict[int, int]] = {}
     for s, poly in parts:
         if s.ctx is not ctx:
             raise ContextMismatchError(f"mixed cyclotomic contexts h={ctx.h} and h={s.ctx.h}")
-        if poly.domain is not None:
-            raise DomainMismatchError("weighted_sum takes rational polynomials")
         acc = groups.get(s.den * poly.den)
         if acc is None:
             acc = groups[s.den * poly.den] = {}
@@ -388,36 +339,28 @@ def weighted_sum(ctx: CycContext, parts: Iterable[tuple[CycScalar, SparsePoly]])
         up = den // gden
         _accumulate(total, acc.items() if up == 1 else ((k, c * up) for k, c in acc.items()),
                     not_)
-    vecs: dict[int, list[int]] = {}
+    num: dict[int, int] = {}
     for key, c in total.items():
         k, i = divmod(key, d)
-        vec = vecs.get(k)
-        if vec is None:
-            vec = vecs[k] = [0] * d
-        vec[i] = c
-    return _poly(ctx, {k: _norm(ctx, vec, den) for k, vec in vecs.items()})
+        if i:
+            raise NotRationalError(_norm(ctx, [total.get(k * d + j, 0) for j in range(d)], den))
+        num[k] = c
+    return _make(num, den)
 
 
 class LambdaSeries:
-    """Finite Laurent object in lambda^(1/h) with polynomial coefficients.
+    """Finite Laurent object in lambda^(1/h) with rational polynomial coefficients.
 
     ``terms`` maps the integer q to the coefficient of lambda^(q/h).  The
     residue is the coefficient at q = -h, i.e. of lambda^(-1); fractional
     slots never carry residue.
     """
 
-    __slots__ = ("h", "domain", "terms")
+    __slots__ = ("h", "terms")
 
-    def __init__(self, h: int, domain: Domain, terms: dict[int, SparsePoly]):
+    def __init__(self, h: int, terms: dict[int, SparsePoly]):
         self.h = h
-        self.domain = domain
         self.terms = {q: p for q, p in terms.items() if not p.is_zero()}
-
-    def _chk(self, other: "LambdaSeries") -> None:
-        if self.h != other.h:
-            raise DomainMismatchError("lambda-series with different h")
-        if self.domain is not other.domain:
-            raise DomainMismatchError("lambda-series over different scalar domains")
 
     def mul_capped(self, other: "LambdaSeries", deg_cap: int | None = None,
                    window: tuple[int, int] | None = None) -> "LambdaSeries":
@@ -427,14 +370,15 @@ class LambdaSeries:
         pair of slots whose exponents sum outside the window is skipped before
         its polynomial product is taken, as the degree cap skips monomial pairs.
         """
-        self._chk(other)
+        if self.h != other.h:
+            raise DomainMismatchError("lambda-series with different h")
         prods = ((q1 + q2, p1._mul(p2, deg_cap)) for q1, p1 in self.terms.items()
                  for q2, p2 in other.terms.items()
                  if window is None or window[0] <= q1 + q2 <= window[1])
-        return LambdaSeries(self.h, self.domain, _accumulate({}, prods, SparsePoly.is_zero))
+        return LambdaSeries(self.h, _accumulate({}, prods, SparsePoly.is_zero))
 
     def coefficient(self, q: int) -> SparsePoly:
-        return self.terms.get(q, SparsePoly.zero(self.domain))
+        return self.terms.get(q, SparsePoly.zero())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -442,7 +386,7 @@ class LambdaSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LambdaSeries):
             return NotImplemented
-        return self.h == other.h and self.domain is other.domain and self.terms == other.terms
+        return self.h == other.h and self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:

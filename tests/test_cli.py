@@ -375,3 +375,12 @@ def test_closed_stdout_exits_141_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_unwritable_stdout_exits_2_without_traceback():
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        proc = _cli_process("constants", "--h", "3", "--tuple", "1", stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == f"cannot write standard output: {os.strerror(errno.ENOSPC)}\n"

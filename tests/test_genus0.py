@@ -145,7 +145,7 @@ def _potentials():
             for v, e in factors:
                 exps[v] = exps.get(v, 0) + e
             monos.append((tuple(sorted(exps.items())), c))
-        return SparsePoly.from_terms(None, monos)
+        return SparsePoly.from_terms(monos)
     return st.lists(st.tuples(mono, rat), max_size=6).map(build)
 
 
@@ -227,7 +227,7 @@ def _reference_rhs(solver, weights, m, a, d):
             tail_max = m + n + 1 + r * solver.profile.m_in
             parts.append((weights[mu], _full_slot_product(
                 solver, ((a0,) + mu, tail_max, d - r, d))))
-    return (-weighted_sum(rd.ctx, parts)).demote()
+    return -weighted_sum(rd.ctx, parts)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])

@@ -10,14 +10,12 @@ from kdv_oracle import free_energy_coefficient, psi_correlator
 
 from anrec.genus0 import Profile, solve
 from anrec.recursion import (
-    ConsistencyError,
     DescendantSolver,
     _block_plans,
     _level_vectors,
     _pair_sets,
     _set_partitions,
     _w_min_degree,
-    gamma_propagator,
     propagator,
     solve_recursion,
     w_residual,
@@ -41,24 +39,6 @@ def test_propagator_values():
         assert propagator(rd4, i, j) == propagator(rd4, j, i)
     with pytest.raises(ValueError):
         propagator(rd4, 2, 2)
-
-
-def test_gamma_propagator_expands_to_label_propagator():
-    # bilinear expansion over chi = sum eta^(-ia) gamma_a matches the
-    # closed-form label propagator
-    for N in (1, 2, 3, 4):
-        rd = RootData(N)
-        for i in range(1, rd.h + 1):
-            for j in range(1, rd.h + 1):
-                if i == j:
-                    continue
-                acc = rd.ctx.zero
-                for a in range(1, rd.N + 1):
-                    for b in range(1, rd.N + 1):
-                        q = gamma_propagator(rd, a, b)
-                        if not q.is_zero():
-                            acc = acc + rd.eta(-i * a - j * b) * q
-                assert acc == propagator(rd, i, j)
 
 
 def _pair_count(r: int) -> int:
@@ -173,12 +153,6 @@ def test_residuals_vanish_a2(a2_table):
             assert all(p.is_zero() for p in res.values()), (a, m)
 
 
-def test_residual_gamma_route_agrees(a2_table):
-    for a in (1, 2):
-        res = w_residual(a2_table, a, 0, cap=3, genus_cap=1, basis="gamma")
-        assert all(p.is_zero() for p in res.values())
-
-
 def test_residual_negative_control():
     table = solve_recursion(RootData(2), 0, 5, m_in=0)
     delta = (x(0, 1) * x(0, 2)).scale(Fraction(1, 7))
@@ -260,13 +234,6 @@ def test_negative_genus_cap_rejected():
         solve_recursion(RootData(2), -1, 5)
 
 
-def test_mixed_basis_pairing_rejected():
-    rd = RootData(2)
-    s = DescendantSolver(rd)
-    with pytest.raises(ConsistencyError):
-        s._pair_value(("chi", 1), ("gamma", 1))
-
-
 # -- pruned cluster enumeration ------------------------------------------------------
 
 def _full_product(self, choice_lists, max_inputs, q_residue, closed):
@@ -276,7 +243,7 @@ def _full_product(self, choice_lists, max_inputs, q_residue, closed):
 @pytest.mark.parametrize("N, degree, m_in", [(1, 8, 1), (2, 6, 1), (3, 5, 0)])
 def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
     # the pruned slot product must leave the W-slice memo and every residual
-    # (dilaton insertion on, both bases) exactly as the full product does,
+    # (dilaton insertion on) exactly as the full product does,
     # while handing fewer configurations to _finish, none whose exponent
     # budget leaves a derivative mode a negative level, and no derivative-free
     # one that _finish rejects; residuals are
@@ -301,8 +268,7 @@ def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
     monkeypatch.setattr(DescendantSolver, "_finish", counted)
 
     def residuals(table):
-        return {(basis, a, m): w_residual(table, a, m, cap=2, basis=basis)
-                for basis in ("chi", "gamma")
+        return {(a, m): w_residual(table, a, m, cap=2)
                 for a in range(1, N + 1) for m in (0, 1)}
 
     def solve():

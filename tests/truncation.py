@@ -14,4 +14,4 @@ def mono_degree(mono) -> int:
 
 def up_to_degree(p: SparsePoly, d: int) -> SparsePoly:
     """The terms of p of total degree <= d."""
-    return SparsePoly(p.domain, {m: c for m, c in p.terms.items() if mono_degree(m) <= d})
+    return SparsePoly.from_terms((m, c) for m, c in p.terms.items() if mono_degree(m) <= d)
