@@ -13,9 +13,10 @@ gives 1, and the value is 0 once r > h - 1).  Each product factorises as
 
 where J = {j_1 < ... < j_r} and <J, a> = sum_s j_s a_s.  D_J depends on the
 index set alone, and eta^(-<J, a>) only on <J, a> mod h, so every term of C
-is a rotated subset product eta^s * D_J read from a per-root-system memo:
-evaluating C is one pass that adds the integer numerators of these terms and
-normalises the sum once, with no field product.
+is a rotated subset product eta^s * D_J read from the per-root-system memo
+of :mod:`anrec.rootsys` (:func:`anrec.rootsys.subset_product`): evaluating C
+is one pass that adds the integer numerators of these terms and normalises
+the sum once, with no field product.
 
 SymC symmetrises C over the distinct permutations of a multiset, and the
 bracket constant C[...] removes one copy of each distinct value:
@@ -38,18 +39,16 @@ from itertools import combinations, permutations
 
 from .exactnum import CycScalar
 from .reporting import CheckReport
-from .rootsys import RootData
+from .rootsys import RootData, _rotated, _subset_table
 from .series import YPoly
 
 
 class _Memo:
     """What this module keeps for one root system."""
 
-    __slots__ = ("rot", "sym", "bracket")
+    __slots__ = ("sym", "bracket")
 
     def __init__(self):
-        # rot[J][s] = eta^s * D_J for an index set J, filled on first use
-        self.rot: dict[tuple[int, ...], list[CycScalar | None]] = {}
         self.sym: dict[tuple[int, ...], CycScalar] = {}
         self.bracket: dict[tuple[int, ...], CycScalar] = {}
 
@@ -62,24 +61,6 @@ def _memo(rd: RootData) -> _Memo:
     got = _MEMOS.get(rd)
     if got is None:
         got = _MEMOS[rd] = _Memo()
-    return got
-
-
-def _rotated(rd: RootData, rot: dict[tuple[int, ...], list[CycScalar | None]],
-             js: tuple[int, ...], s: int) -> CycScalar:
-    # eta^s * D_J, with D_J = D_(J minus its largest index) * D_(largest
-    # index); a rotation is formed the first time a tuple asks for it, so a
-    # lone query at large h does not pay for all h of them
-    row = rot.get(js)
-    if row is None:
-        if len(js) == 1:
-            base = (rd.ctx.one - rd.eta(js[0])).inv()
-        else:
-            base = _rotated(rd, rot, js[:-1], 0) * _rotated(rd, rot, js[-1:], 0)
-        row = rot[js] = [base] + [None] * (rd.h - 1)
-    got = row[s]
-    if got is None:
-        got = row[s] = row[0].rotate(s)
     return got
 
 
@@ -106,8 +87,8 @@ def c_const(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
     h = rd.h
     if r > h - 1:
         return rd.ctx.zero  # no strictly increasing index tuples exist
-    rot = _memo(rd).rot
-    return rd.ctx.sum(_rotated(rd, rot, js, -sum(map(operator.mul, js, tup)) % h)
+    table = _subset_table(rd)
+    return rd.ctx.sum(_rotated(rd, table, js, -sum(map(operator.mul, js, tup)) % h)
                       for js in combinations(range(1, h), r))
 
 

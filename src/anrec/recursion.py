@@ -52,7 +52,7 @@ from .genus0 import (
     mixed_partials,
     norm_factor,
 )
-from .rootsys import RootData, divided_difference
+from .rootsys import RootData, divided_difference, subset_product
 from .series import SparsePoly, Var, weighted_sum
 
 
@@ -65,11 +65,16 @@ class ConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def propagator(rd: RootData, i: int, j: int) -> CycScalar:
-    """eta^(i+j) / (eta^i - eta^j)^2 in the lambda^(-2) slot."""
-    if i == j:
-        raise ValueError("propagator labels must differ")
-    diff = rd.eta(i) - rd.eta(j)
-    return (diff * diff).inv().rotate(i + j)
+    """eta^(i+j) / (eta^i - eta^j)^2 in the lambda^(-2) slot.
+
+    With d = (j - i) mod h this is eta^d * D_d^2, D_d = 1 / (1 - eta^d) the
+    memoised singleton subset product: one field product and no inverse.
+    """
+    d = (j - i) % rd.h
+    if not d:
+        raise ValueError(f"propagator labels {i} and {j} are equal modulo h = {rd.h}")
+    base = subset_product(rd, (d,))
+    return (base * base).rotate(d)
 
 
 def _pair_sets(items: tuple) -> list[tuple]:
@@ -229,16 +234,18 @@ class DescendantSolver:
                     ks = self._kernel_scalar(labels, a)
                     if ks.is_zero():
                         continue
-                    for scalar, poly in self._cluster(labels, g, ext, q_target, d, False):
-                        yield ks * scalar, poly
+                    yield from self._cluster(labels, g, ext, q_target, d, False, ks)
 
         return weighted_sum(rd.ctx, parts()).scale(Fraction(-1, h * norm_factor(h, m, a)))
 
     # -- the cluster expansion ---------------------------------------------------
 
     def _cluster(self, slots: tuple[int, ...], g: int, externals: tuple[Var, ...],
-                 q_target: int, d_target: int, shift: bool):
+                 q_target: int, d_target: int, shift: bool, scalar: CycScalar):
         """Yield (scalar, rational polynomial) for every contributing configuration.
+
+        Every yielded scalar carries the factor ``scalar``, which enters once
+        per pair set as the start of its product of propagators.
 
         ``slots`` are distinct labels, so no pair of them contracts to zero.
         ``externals`` are pending derivative directions: each lands either on
@@ -253,7 +260,7 @@ class DescendantSolver:
             p = len(pairs)
             if p > g:
                 continue
-            pair_scalar = rd.ctx.one
+            pair_scalar = scalar
             for (s1, s2) in pairs:
                 pair_scalar = pair_scalar * self._pair_value(slots[s1], slots[s2])
             paired = {x for pr in pairs for x in pr}
@@ -460,7 +467,7 @@ class DescendantSolver:
                 part
                 for labels in combinations(range(1, h + 1), r)
                 for d in range(cap + 1)
-                for part in self._cluster(labels, g, (), q_target, d, True)
+                for part in self._cluster(labels, g, (), q_target, d, True, rd.ctx.one)
             ))
         return out
 

@@ -5,10 +5,23 @@ chi_1, ..., chi_h (h = N + 1, linearly dependent through sum(chi) = 0) and
 the gamma-basis gamma_1, ..., gamma_N with chi_i = sum_a eta^(-i*a) gamma_a.
 States of the symmetric algebra are stored in the gamma-basis, which avoids
 quotienting by the chi-relation; chi-expansion is a conversion only.
+
+Every cyclotomic denominator in the package is a rotated subset product
+
+    eta^s * D_J,    D_J = prod_{j in J} 1 / (1 - eta^j),
+
+for a set J of indices in 1..h-1 (see :func:`subset_product`).  This module
+memoises them per root system: D_J is built prefix by prefix, one field
+product per new index set and one inverse per singleton, and a rotation
+eta^s is formed the first time it is asked for.  The tuple constants C of
+:mod:`anrec.combinatorics`, the divided differences of the Vandermonde
+identity and the recursion kernel, and the propagators all read this memo,
+since eta^i - eta^j = eta^i (1 - eta^(j-i)).
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import combinations_with_replacement
 
 from .exactnum import CycScalar, cyc_context
@@ -115,21 +128,71 @@ def cbracket_state(rd: RootData, r: int) -> SymState:
                          if sum(tup) % rd.h == 0})
 
 
+# per root system: index set J (strictly increasing, in 1..h-1) -> the h
+# rotations eta^s * D_J, each formed on first use; keyed weakly, so a table
+# is dropped together with its RootData
+_SUBSETS: "weakref.WeakKeyDictionary[RootData, dict]" = weakref.WeakKeyDictionary()
+
+
+def _subset_table(rd: RootData) -> dict[tuple[int, ...], list[CycScalar | None]]:
+    got = _SUBSETS.get(rd)
+    if got is None:
+        got = _SUBSETS[rd] = {}
+    return got
+
+
+def _rotated(rd: RootData, table: dict[tuple[int, ...], list[CycScalar | None]],
+             js: tuple[int, ...], s: int) -> CycScalar:
+    # eta^s * D_J for 0 <= s < h, with D_J = D_(J minus its largest index) *
+    # D_(largest index); a rotation is formed the first time a tuple asks for
+    # it, so a lone query at large h does not pay for all h of them
+    row = table.get(js)
+    if row is None:
+        if len(js) > 1:
+            base = _rotated(rd, table, js[:-1], 0) * _rotated(rd, table, js[-1:], 0)
+        elif js:
+            base = (rd.ctx.one - rd.eta(js[0])).inv()
+        else:
+            base = rd.ctx.one
+        row = table[js] = [base] + [None] * (rd.h - 1)
+    got = row[s]
+    if got is None:
+        got = row[s] = row[0].rotate(s)
+    return got
+
+
+def subset_product(rd: RootData, js: tuple[int, ...], s: int = 0) -> CycScalar:
+    """eta^s * prod_{j in J} 1 / (1 - eta^j) for strictly increasing J in 1..h-1.
+
+    Memoised per root system; the empty set gives eta^s.
+    """
+    js = tuple(js)
+    if any(not 1 <= j <= rd.h - 1 for j in js) or any(
+            a >= b for a, b in zip(js, js[1:])):
+        raise ValueError(f"index set {list(js)} must increase strictly within 1..{rd.h - 1}")
+    return _rotated(rd, _subset_table(rd), js, s % rd.h)
+
+
 def divided_difference(rd: RootData, nodes: tuple[int, ...], k: int) -> CycScalar:
-    """sum_i eta^(i k) / prod_{j != i} (eta^i - eta^j) over distinct labels.
+    """sum_i eta^(i k) / prod_{j != i} (eta^i - eta^j) over labels distinct mod h.
 
     The divided difference of z^(k mod h) at the nodes eta^i: the complete
     homogeneous symmetric polynomial of degree (k mod h) - r + 1 in the r
-    nodes, and 0 when that degree is negative.
+    nodes, and 0 when that degree is negative.  Since
+    eta^i - eta^j = eta^i (1 - eta^(j-i)), the term of node i is the subset
+    product eta^(i (k - r + 1)) * D_(J_i), J_i = {(j - i) mod h : j != i},
+    read from the memo with no field product or inverse once it is warm.
     """
-    terms = []
-    for i in nodes:
-        denom = rd.ctx.one
-        for j in nodes:
-            if j != i:
-                denom = denom * (rd.eta(i) - rd.eta(j))
-        terms.append(denom.inv().rotate(i * k))
-    return rd.ctx.sum(terms)
+    h = rd.h
+    res = [i % h for i in nodes]
+    if len(set(res)) != len(res):
+        raise ValueError(f"labels {list(nodes)} repeat modulo h = {h}")
+    table = _subset_table(rd)
+    shift = k - len(res) + 1
+    # the sorted differences start with the node's own 0, which is dropped
+    return rd.ctx.sum(_rotated(rd, table, tuple(sorted((j - i) % h for j in res))[1:],
+                               i * shift % h)
+                      for i in res)
 
 
 def vandermonde_coeff(rd: RootData, indices: tuple[int, ...]) -> CycScalar:
@@ -138,6 +201,4 @@ def vandermonde_coeff(rd: RootData, indices: tuple[int, ...]) -> CycScalar:
     The cofactor expansion of a Vandermonde determinant in the roots of
     unity; the value is 1 for every strictly increasing index tuple.
     """
-    if len(set(indices)) != len(indices):
-        raise ValueError("indices must be distinct")
     return divided_difference(rd, indices, len(indices) - 1)

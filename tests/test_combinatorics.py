@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anrec import combinatorics
+from anrec import combinatorics, rootsys
 from anrec.combinatorics import (
     c_bracket,
     c_const,
@@ -205,16 +205,19 @@ def test_memos_live_and_die_with_their_root_data():
     rd = RootData(3)
     first = (sym_c(rd, (1, 2)), c_bracket(rd, (1, 3)))
     memo = combinatorics._MEMOS[rd]
-    assert memo.sym and memo.bracket and memo.rot
+    # the subset products behind C live in rootsys, the layer below
+    subsets = rootsys._SUBSETS[rd]
+    assert memo.sym and memo.bracket and subsets
     ref = weakref.ref(rd)
     del rd
     gc.collect()
-    # the memo does not keep its root system alive, and goes with it
+    # neither memo keeps its root system alive, and both go with it
     assert ref() is None
     assert all(other is not memo for other in combinatorics._MEMOS.values())
+    assert all(other is not subsets for other in rootsys._SUBSETS.values())
     # a new root system of the same rank starts cold and agrees
     fresh = RootData(3)
-    assert fresh not in combinatorics._MEMOS
+    assert fresh not in combinatorics._MEMOS and fresh not in rootsys._SUBSETS
     assert (sym_c(fresh, (1, 2)), c_bracket(fresh, (1, 3))) == first
 
 

@@ -41,6 +41,24 @@ def test_propagator_values():
         propagator(rd4, 2, 2)
 
 
+@pytest.mark.parametrize("N", range(1, 9))
+def test_propagator_matches_literal_definition(N):
+    # the inverse-free eta^d * D_d^2 against eta^(i+j) / (eta^i - eta^j)^2
+    rd = RootData(N)
+    for i in range(1, rd.h + 1):
+        for j in range(1, rd.h + 1):
+            if i != j:
+                diff = rd.eta(i) - rd.eta(j)
+                assert propagator(rd, i, j) == rd.eta(i + j) / (diff * diff), (N, i, j)
+
+
+def test_propagator_rejects_labels_equal_mod_h():
+    rd = RootData(3)  # h = 4
+    for i, j in [(1, 5), (5, 1), (4, 8)]:
+        with pytest.raises(ValueError, match=f"labels {i} and {j}"):
+            propagator(rd, i, j)
+
+
 def _pair_count(r: int) -> int:
     # telephone numbers: involutions of r labels
     import math

@@ -1,5 +1,7 @@
 """Root-system data: symmetric states, divided differences."""
 
+import random
+import re
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -9,6 +11,7 @@ from anrec.rootsys import (
     cbracket_state,
     divided_difference,
     elem_sym_state,
+    subset_product,
     vandermonde_coeff,
 )
 
@@ -107,6 +110,70 @@ def test_divided_difference_is_complete_homogeneous():
                     d = (-a) % rd.h - r + 1
                     assert divided_difference(rd, nodes, -a) \
                         == _complete_homogeneous(rd, nodes, d), (N, nodes, a)
+
+
+def _literal_divided_difference(rd, nodes, k):
+    # the definition as written: r(r-1) field products and r inverses
+    terms = []
+    for i in nodes:
+        denom = rd.ctx.one
+        for j in nodes:
+            if j != i:
+                denom = denom * (rd.eta(i) - rd.eta(j))
+        terms.append(denom.inv() * rd.eta(i * k))
+    return rd.ctx.sum(terms)
+
+
+@pytest.mark.parametrize("N", range(1, 8))
+def test_divided_difference_matches_literal_definition(N):
+    # every node set at h <= 8 and every k mod h
+    rd = RootData(N)
+    for r in range(1, rd.h + 1):
+        for nodes in combinations(range(1, rd.h + 1), r):
+            for k in range(rd.h):
+                assert divided_difference(rd, nodes, k) \
+                    == _literal_divided_difference(rd, nodes, k), (N, nodes, k)
+
+
+@pytest.mark.parametrize("N", (11, 12))
+def test_divided_difference_matches_literal_definition_sampled(N):
+    # h = 12 and h = 13: random node sets in random order, labels shifted by
+    # multiples of h, and k outside 0..h-1
+    rd = RootData(N)
+    rng = random.Random(N)
+    for _ in range(40):
+        r = rng.randint(1, rd.h)
+        nodes = tuple(i + rd.h * rng.randint(-1, 1)
+                      for i in rng.sample(range(1, rd.h + 1), r))
+        k = rng.randint(-2 * rd.h, 2 * rd.h)
+        assert divided_difference(rd, nodes, k) \
+            == _literal_divided_difference(rd, nodes, k), (N, nodes, k)
+
+
+@pytest.mark.parametrize("nodes", [(1, 1), (1, 5), (2, 3, 6)])
+def test_divided_difference_rejects_labels_repeating_mod_h(nodes):
+    rd = RootData(3)  # h = 4
+    with pytest.raises(ValueError, match=re.escape(str(list(nodes)))):
+        divided_difference(rd, nodes, 2)
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_subset_product_matches_literal_product(N):
+    rd = RootData(N)
+    for r in range(rd.h):
+        for js in combinations(range(1, rd.h), r):
+            literal = rd.ctx.one
+            for j in js:
+                literal = literal * (rd.ctx.one - rd.eta(j)).inv()
+            for s in range(-1, rd.h + 1):
+                assert subset_product(rd, js, s) == literal * rd.eta(s), (N, js, s)
+
+
+def test_subset_product_rejects_bad_index_sets():
+    rd = RootData(3)
+    for js in [(0,), (4,), (2, 1), (1, 1)]:
+        with pytest.raises(ValueError):
+            subset_product(rd, js)
 
 
 def test_symstate_serialization():
