@@ -6,8 +6,10 @@ degree >= 1, so a degree-d slice only consumes strictly lower slices.  The
 potential is integrated back from the one-point slices dF/dx_{m,a} =
 p_{m,a} / (-a + (m+1)h) with an exactness check on the mixed partials; the
 higher-genus engine assembles its free energies with the same two functions,
-:func:`euler_potential` and :func:`mixed_partials`.  The primary potential
-is stamped with associativity (WDVV) and Euler-homogeneity reports.
+:func:`euler_potential` and :func:`mixed_partials`, and cross-checks its
+genus-zero potential against :func:`exact_potential`, which runs both on a
+genus-zero solver.  The primary potential of :func:`solve` is stamped with
+associativity (WDVV) and Euler-homogeneity reports.
 
 The SymC weights live in Q(eta) and the slot products in Q; each slice
 is their :func:`anrec.series.weighted_sum`, which fails loudly if any
@@ -157,7 +159,7 @@ class G0Solver:
                     continue
                 weight = self._weight(mu)
                 if not weight.is_zero():
-                    parts.append((weight, part))
+                    parts.append((weight, 1, part))
         return -weighted_sum(rd.ctx, parts)
 
     def _slot_product(self, slots: tuple[int, ...], tail_max: int,
@@ -246,23 +248,36 @@ class PotentialG0:
         }
 
 
+def exact_potential(solver: G0Solver) -> tuple[SparsePoly, CheckReport]:
+    """The potential through the profile's degree cap and its passing exactness report.
+
+    Only the one-point slices of degree < D, and the slices they consume,
+    are solved; no table, WDVV or Euler report is formed.  Mixed partials
+    that disagree raise :class:`WellFoundednessError`.
+    """
+    h = solver.rd.h
+    profile = solver.profile
+    vs = profile.vars()
+
+    def one_point(v: Var, d: int) -> SparsePoly:
+        return solver.p_slice(v.m, v.a, d).scale(Fraction(1, norm_factor(h, v.m, v.a)))
+
+    F = euler_potential(vs, one_point, profile.D)
+    exactness = mixed_partials(vs, one_point, profile.D)
+    if not exactness.passed:
+        raise WellFoundednessError("mixed partials disagree; table is inconsistent")
+    return F, exactness
+
+
 def solve(rd: RootData, profile: Profile, m_out: int = 0) -> PotentialG0:
     """Run the recursion up to the profile's degree cap and integrate."""
     solver = G0Solver(rd, profile)
+    F, exactness = exact_potential(solver)
     ptable: dict[Var, SparsePoly] = {}
     for m in range(max(m_out, profile.m_in) + 1):
         for a in range(1, rd.N + 1):
             ptable[Var(m, a)] = solver.p_poly(m, a)
-    vs = profile.vars()
-
-    def one_point(v: Var, d: int) -> SparsePoly:
-        return solver.p_slice(v.m, v.a, d).scale(
-            Fraction(1, norm_factor(rd.h, v.m, v.a)))
-
-    F = euler_potential(vs, one_point, profile.D)
-    checks = {"exactness": mixed_partials(vs, one_point, profile.D)}
-    if not checks["exactness"].passed:
-        raise WellFoundednessError("mixed partials disagree; table is inconsistent")
+    checks = {"exactness": exactness}
     if profile.m_in == 0:
         checks["wdvv"] = wdvv_check(rd.N, F, profile.D)
         checks["euler"] = euler_check(rd.N, F)

@@ -13,14 +13,22 @@ slot pairs contract to propagators.  The hbar-grading never becomes a
 number; the integer grade g = #pairs + #derivative-slots + sum(g_B - 1)
 selects which configurations contribute at genus g.
 
+One walk over the pair sets and slot options of a label set serves a range
+of grades and of degrees: each configuration is found once and closed at
+every (grade, degree) in range that its blocks can reach.  A W-slice asks
+for one grade and one degree; a constraint residual asks for every grade
+and degree it reports in one walk per label set.
 The slot walk hands on only configurations that can contribute: the
 exponent budget must leave every derivative mode a level >= 0, and one with
-no derivative mode must close on the spot (no pending direction, no genus
-left after the pairs, the exponent target and the input count hit exactly).
+no derivative mode must close on the spot (no pending direction, its pair
+count a grade in range, the exponent target hit exactly and its input count
+a degree in range).
 How the derivative modes then split into levels and into blocks with their
 genera and degrees depends on a few integers alone, so those enumerations
 are built once per shape (:func:`_level_vectors`, :func:`_block_plans`) and
-each configuration only looks up W-slices and multiplies.  A W-slice that
+each configuration only looks up W-slices and multiplies.  The level
+factor stays an int beside the configuration scalar down to
+:func:`anrec.series.weighted_sum`.  A W-slice that
 weighted homogeneity forces to zero is never expanded: with x_{m,a} of
 weight (a+1)/h - m, every monomial of F_g weighs (2 + 2/h)(1 - g), and
 :func:`anrec.genus0._weight_allows` tells whether some d input variables
@@ -42,13 +50,14 @@ from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 
-from . import genus0
 from .exactnum import CycScalar
 from .genus0 import (
+    G0Solver,
     Profile,
     WellFoundednessError,
     _weight_allows,
     euler_potential,
+    exact_potential,
     mixed_partials,
     norm_factor,
 )
@@ -234,18 +243,26 @@ class DescendantSolver:
                     ks = self._kernel_scalar(labels, a)
                     if ks.is_zero():
                         continue
-                    yield from self._cluster(labels, g, ext, q_target, d, False, ks)
+                    for _, scalar, factor, poly in self._cluster(
+                            labels, (g, g), ext, q_target, (d, d), False, ks):
+                        yield scalar, factor, poly
 
         return weighted_sum(rd.ctx, parts()).scale(Fraction(-1, h * norm_factor(h, m, a)))
 
     # -- the cluster expansion ---------------------------------------------------
 
-    def _cluster(self, slots: tuple[int, ...], g: int, externals: tuple[Var, ...],
-                 q_target: int, d_target: int, shift: bool, scalar: CycScalar):
-        """Yield (scalar, rational polynomial) for every contributing configuration.
+    def _cluster(self, slots: tuple[int, ...], grades: tuple[int, int],
+                 externals: tuple[Var, ...], q_target: int, degrees: tuple[int, int],
+                 shift: bool, scalar: CycScalar):
+        """Yield (grade, scalar, factor, poly) for every contributing configuration.
 
-        Every yielded scalar carries the factor ``scalar``, which enters once
-        per pair set as the start of its product of propagators.
+        Grades and degrees run over the inclusive ranges ``grades`` and
+        ``degrees``; each part is scalar * factor * poly, with ``factor`` an
+        int and ``poly`` rational.  One walk over the pair sets and slot
+        options serves the whole range: a configuration is found once, and
+        :meth:`_finish` closes it at each (grade, degree) its blocks can
+        reach.  Every yielded scalar carries the factor ``scalar``, which
+        enters once per pair set as the start of its product of propagators.
 
         ``slots`` are distinct labels, so no pair of them contracts to zero.
         ``externals`` are pending derivative directions: each lands either on
@@ -253,12 +270,13 @@ class DescendantSolver:
         enables the constant insertion that realises the dilaton shift of the
         level-one top slot.
         """
-        rd = self.rd
-        h = rd.h
+        g_lo, g_hi = grades
+        d_lo, d_hi = degrees
+        h = self.rd.h
         positions = tuple(range(len(slots)))
         for pairs in _pair_sets(positions):
             p = len(pairs)
-            if p > g:
+            if p > g_hi:
                 continue
             pair_scalar = scalar
             for (s1, s2) in pairs:
@@ -285,23 +303,25 @@ class DescendantSolver:
                                 for k, i in enumerate(rest)]
                 if any(not cl for cl in choice_lists):
                     continue
-                for combo in self._slot_combos(choice_lists, d_target,
-                                               q_target - q_pairs,
-                                               not pool and p == g):
-                    yield from self._finish(combo, pair_scalar, q_pairs,
-                                            tuple(pool), g - p, q_target, d_target)
+                # a derivative-free closure has grade p, so it needs p in range
+                # and no pending direction; otherwise no input count admits one
+                floor = d_lo if not pool and p >= g_lo else d_hi + 1
+                for combo in self._slot_combos(choice_lists, d_hi,
+                                               q_target - q_pairs, floor):
+                    yield from self._finish(combo, pair_scalar, q_pairs, tuple(pool),
+                                            p, grades, q_target, degrees)
 
     def _slot_combos(self, choice_lists: list[list[tuple]], max_inputs: int,
-                     q_residue: int, closed: bool):
+                     q_residue: int, floor: int):
         """The slot-choice product, pruned to what :meth:`_finish` can keep.
 
         Each option has the slack dq - h*[kind == 'd']; a configuration
         survives :meth:`_finish` only if its slacks sum to at least
         ``q_residue`` (leaving every derivative mode a level >= 0) and to
         ``q_residue`` mod h.  One without derivative modes closes no block,
-        so it survives only when it is ``closed`` (no pending directions and
-        no genus left after the pairs), its slacks sum to ``q_residue``
-        exactly and it carries exactly ``max_inputs`` input variables.
+        so it survives only when its slacks sum to ``q_residue`` exactly and
+        it carries at least ``floor`` input variables (a floor above
+        ``max_inputs`` admits none).
         A branch is dropped once it carries more than ``max_inputs`` input
         variables, or once the largest slack the remaining slots can add
         cannot reach ``q_residue``; the last slot keeps only the options that
@@ -312,7 +332,7 @@ class DescendantSolver:
         h = self.rd.h
         if not choice_lists:
             # all slots paired: the pairs alone must close the configuration
-            if closed and q_residue == 0 and max_inputs == 0:
+            if q_residue == 0 and floor <= 0:
                 yield ()
             return
         slack = [[opt[3] - h * (opt[0] == "d") for opt in opts] for opts in choice_lists]
@@ -331,8 +351,7 @@ class DescendantSolver:
                     n = inputs + (opt[0] == "x")
                     if n > max_inputs or s + sl < q_residue:
                         continue
-                    if (has_d or opt[0] == "d"
-                            or (closed and s + sl == q_residue and n == max_inputs)):
+                    if has_d or opt[0] == "d" or (s + sl == q_residue and n >= floor):
                         yield prefix + (opt,)
                 return
             for opt, sl in zip(head[i], slack[i]):
@@ -365,19 +384,25 @@ class DescendantSolver:
         return out
 
     def _finish(self, combo, pair_scalar: CycScalar, q_pairs: int,
-                pool: tuple[Var, ...], g_rem: int, q_target: int, d_target: int):
+                pool: tuple[Var, ...], p: int, grades: tuple[int, int], q_target: int,
+                degrees: tuple[int, int]):
         """Fix derivative levels, block structure, genera, and degree splits.
 
-        Every exponent, degree and genus check runs before any field
-        arithmetic.  The levels come from :func:`_level_vectors` and the
-        blocks, genera and degrees from :func:`_block_plans`, both memoised
-        on integers, so here only directions are built, W-slices looked up
-        and products formed.  The level factor prod (b + k*h) stays an int;
-        the configuration scalar pair_scalar * sign * eta^k is formed once,
-        at the first contribution.
+        The signs, exponent, inputs, derivative modes and the level check
+        are formed once per configuration; then every (grade, degree) in
+        range with a nonempty :func:`_block_plans` is closed.  Every exponent,
+        degree and genus check runs before any field arithmetic.  The levels
+        come from :func:`_level_vectors` and the blocks, genera and degrees
+        from :func:`_block_plans`, both memoised on integers, so here only
+        directions are built, W-slices looked up and products formed.  The
+        level factor sign * prod (b + k*h) stays an int, yielded beside the
+        configuration scalar pair_scalar * eta^k, which is formed once, at
+        the first contribution.
         """
         rd = self.rd
         h = rd.h
+        g_lo, g_hi = grades
+        d_lo, d_hi = degrees
         sign = 1
         k_sum = 0
         q = q_pairs
@@ -392,21 +417,25 @@ class DescendantSolver:
             elif kind == "d":
                 dslots.append(payload)
         u_d = len(dslots)
-        rem_deg = d_target - len(xt_vars)
-        if rem_deg < 0:
+        n = len(xt_vars)
+        if n > d_hi:
             return
         if u_d == 0:
-            if pool or g_rem != 0 or q != q_target or rem_deg != 0:
+            if pool or not g_lo <= p <= g_hi or q != q_target or n < d_lo:
                 return
-            scalar = pair_scalar.rotate(k_sum)
-            yield (scalar if sign > 0 else -scalar), SparsePoly.monomial(xt_vars)
+            yield p, pair_scalar.rotate(k_sum), sign, SparsePoly.monomial(xt_vars)
             return
         span = q - q_target
         if span < u_d * h or span % h:
             return
         total_lv = span // h  # sum of (level + 1) over derivative modes
-        plans = _block_plans(u_d, len(pool), g_rem, rem_deg)
-        if not plans:
+        closures = []
+        for g in range(max(g_lo, p), g_hi + 1):
+            for d in range(max(d_lo, n), d_hi + 1):
+                plans = _block_plans(u_d, len(pool), g - p, d - n)
+                if plans:
+                    closures.append((g, plans))
+        if not closures:
             return
         base = None  # the input monomial, built at the first product formed
         scalar = None
@@ -416,30 +445,31 @@ class DescendantSolver:
             for b, k in zip(dslots, levels):
                 factor *= b + k * h
                 dirs.append(Var(k, h - b))
-            for partition, pool_assign, gvec, dvec in plans:
-                block_dirs: list[list[Var]] = [
-                    [dirs[i] for i in block] for block in partition]
-                for v, t in zip(pool, pool_assign):
-                    block_dirs[t].append(v)
-                poly = None
-                for gb, bd, db in zip(gvec, block_dirs, dvec):
-                    w = self.w_slice(gb, tuple(bd), db)
-                    if w.is_zero():
-                        poly = None
-                        break
-                    if poly is not None:
-                        poly = poly * w
-                    elif xt_vars:
-                        if base is None:
-                            base = SparsePoly.monomial(xt_vars)
-                        poly = base * w
-                    else:
-                        poly = w
-                if poly is None:
-                    continue
-                if scalar is None:
-                    scalar = pair_scalar.rotate(k_sum)
-                yield scalar * factor, poly
+            for g, plans in closures:
+                for partition, pool_assign, gvec, dvec in plans:
+                    block_dirs: list[list[Var]] = [
+                        [dirs[i] for i in block] for block in partition]
+                    for v, t in zip(pool, pool_assign):
+                        block_dirs[t].append(v)
+                    poly = None
+                    for gb, bd, db in zip(gvec, block_dirs, dvec):
+                        w = self.w_slice(gb, tuple(bd), db)
+                        if w.is_zero():
+                            poly = None
+                            break
+                        if poly is not None:
+                            poly = poly * w
+                        elif xt_vars:
+                            if base is None:
+                                base = SparsePoly.monomial(xt_vars)
+                            poly = base * w
+                        else:
+                            poly = w
+                    if poly is None:
+                        continue
+                    if scalar is None:
+                        scalar = pair_scalar.rotate(k_sum)
+                    yield g, scalar, factor, poly
 
     # -- exposed evaluations ------------------------------------------------------
 
@@ -450,6 +480,9 @@ class DescendantSolver:
 
         The degree-r state is the elementary symmetric polynomial in the
         labels: one slot tuple per r-subset of 1..h, each with weight one.
+        One cluster walk per label set covers every grade 0..genus_cap and
+        degree 0..cap; its parts are bucketed by grade and each grade is one
+        :func:`weighted_sum`.
 
         A grade-g component is exact once the memoised table is complete
         through genus g, and the contract is that every component vanishes
@@ -461,15 +494,12 @@ class DescendantSolver:
             raise ValueError("constraint index out of range")
         r = h + 1 - a
         q_target = -h - m * h
-        out: dict[int, SparsePoly] = {}
-        for g in range(genus_cap + 1):
-            out[g] = weighted_sum(rd.ctx, (
-                part
-                for labels in combinations(range(1, h + 1), r)
-                for d in range(cap + 1)
-                for part in self._cluster(labels, g, (), q_target, d, True, rd.ctx.one)
-            ))
-        return out
+        parts: dict[int, list] = {g: [] for g in range(genus_cap + 1)}
+        for labels in combinations(range(1, h + 1), r):
+            for g, scalar, factor, poly in self._cluster(
+                    labels, (0, genus_cap), (), q_target, (0, cap), True, rd.ctx.one):
+                parts[g].append((scalar, factor, poly))
+        return {g: weighted_sum(rd.ctx, grade_parts) for g, grade_parts in parts.items()}
 
     def perturb(self, g: int, dirs: tuple[Var, ...], d: int,
                 delta: SparsePoly) -> None:
@@ -511,8 +541,9 @@ def solve_recursion(rd: RootData, genus_cap: int, degree_cap: int,
     """Fill the free energies genus by genus from the residue recursion.
 
     The degree cap drops by two per genus.  At genus zero the result is
-    compared exactly against the independent genus-zero engine;
-    disagreement raises :class:`ConsistencyError`.
+    compared exactly against the potential of the independent genus-zero
+    engine (:func:`anrec.genus0.exact_potential`, which forms nothing
+    else); disagreement raises :class:`ConsistencyError`.
     """
     if genus_cap < 0:
         raise ValueError(f"genus cap must be >= 0, got {genus_cap}")
@@ -533,8 +564,8 @@ def solve_recursion(rd: RootData, genus_cap: int, degree_cap: int,
             raise ConsistencyError(f"mixed partials disagree at genus {g}")
         if g >= 1:
             notes.append(f"genus {g}: constant term undetermined, stored as 0")
-    direct = genus0.solve(rd, Profile(N=rd.N, m_in=m_in, D=caps[0]), m_out=m_in)
-    if direct.F != pots[0]:
+    direct, _ = exact_potential(G0Solver(rd, Profile(N=rd.N, m_in=m_in, D=caps[0])))
+    if direct != pots[0]:
         raise ConsistencyError(
             "genus-zero output disagrees with the direct residue engine")
     return PotentialTable(rd=rd, m_in=m_in, potentials=pots,

@@ -315,23 +315,27 @@ class SparsePoly:
         return SparsePoly.from_terms(items)
 
 
-def weighted_sum(ctx: CycContext, parts: Iterable[tuple[CycScalar, SparsePoly]]) -> SparsePoly:
-    """The rational polynomial sum of scalar * poly over (Q(eta) scalar, poly) pairs ``parts``.
+def weighted_sum(ctx: CycContext,
+                 parts: Iterable[tuple[CycScalar, int, SparsePoly]]) -> SparsePoly:
+    """The rational polynomial sum of scalar * factor * poly over the triples ``parts``.
 
-    Integer numerators are summed per (monomial, eta-power) key, grouped by
-    the denominator ``scalar.den * poly.den``, and the groups meet over one
-    lcm.  Every eta-part must cancel: a monomial whose coefficient keeps one
-    raises :class:`NotRationalError` with that coefficient.
+    Each triple is a Q(eta) scalar, an ``int`` factor and a rational
+    polynomial; the factor multiplies the scalar's integer numerators, so
+    no field product is formed per part.  Integer numerators are summed per
+    (monomial, eta-power) key, grouped by the denominator
+    ``scalar.den * poly.den``, and the groups meet over one lcm.  Every
+    eta-part must cancel: a monomial whose coefficient keeps one raises
+    :class:`NotRationalError` with that coefficient.
     """
     d = ctx.deg
     groups: dict[int, dict[int, int]] = {}
-    for s, poly in parts:
+    for s, f, poly in parts:
         if s.ctx is not ctx:
             raise ContextMismatchError(f"mixed cyclotomic contexts h={ctx.h} and h={s.ctx.h}")
         acc = groups.get(s.den * poly.den)
         if acc is None:
             acc = groups[s.den * poly.den] = {}
-        row = [(i, x) for i, x in enumerate(s.num) if x]
+        row = [(i, x * f) for i, x in enumerate(s.num) if x]
         _accumulate(acc, ((k * d + i, c * x) for k, c in poly.num.items() for i, x in row), not_)
     den = math.lcm(*groups)
     total: dict[int, int] = {}

@@ -225,7 +225,7 @@ def _reference_rhs(solver, weights, m, a, d):
             if mu not in weights:
                 weights[mu] = _brute_sym_c(rd.ctx, h, mu)
             tail_max = m + n + 1 + r * solver.profile.m_in
-            parts.append((weights[mu], _full_slot_product(
+            parts.append((weights[mu], 1, _full_slot_product(
                 solver, ((a0,) + mu, tail_max, d - r, d))))
     return -weighted_sum(rd.ctx, parts)
 

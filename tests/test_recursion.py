@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
@@ -21,7 +22,7 @@ from anrec.recursion import (
     w_residual,
 )
 from anrec.rootsys import RootData
-from anrec.series import SparsePoly, Var
+from anrec.series import SparsePoly, Var, weighted_sum
 
 
 def x(m, a):
@@ -120,6 +121,25 @@ def test_solve_matches_direct_engine_and_a1_cubic():
     # solve_recursion compares the engines at genus 0; exercise N = 2, 3 too
     for N in (2, 3):
         solve_recursion(RootData(N), 0, 5, m_in=0)
+
+
+def test_corrupted_genus0_slice_fails_the_cross_check(monkeypatch):
+    # a consistent corruption of the top slice the potential reads: x_v^4
+    # added to p_v keeps the mixed partials equal, so only the comparison
+    # of the two genus-0 potentials can catch it
+    from anrec.genus0 import G0Solver
+    from anrec.recursion import ConsistencyError
+    N, degree = 2, 5
+    p_slice = G0Solver.p_slice
+    key = (0, N, degree - 1)
+
+    def corrupted(self, m, a, d):
+        out = p_slice(self, m, a, d)
+        return out + x(0, N) ** (degree - 1) if (m, a, d) == key else out
+
+    monkeypatch.setattr(G0Solver, "p_slice", corrupted)
+    with pytest.raises(ConsistencyError, match="genus-zero output disagrees"):
+        solve_recursion(RootData(N), 0, degree, m_in=0)
 
 
 def test_a1_descendant_free_energies_match_oracle():
@@ -254,7 +274,7 @@ def test_negative_genus_cap_rejected():
 
 # -- pruned cluster enumeration ------------------------------------------------------
 
-def _full_product(self, choice_lists, max_inputs, q_residue, closed):
+def _full_product(self, choice_lists, max_inputs, q_residue, floor):
     return iproduct(*choice_lists)
 
 
@@ -272,12 +292,12 @@ def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
     short = [0]
     dfree_rejected = [0]
 
-    def counted(self, combo, pair_scalar, q_pairs, pool, g_rem, q_target, d_target):
+    def counted(self, combo, pair_scalar, q_pairs, pool, p, grades, q_target, degrees):
         seen[0] += 1
         h = self.rd.h
         slack = sum(dq - h * (kind == "d") for kind, _, _, dq, _ in combo)
         short[0] += slack < q_target - q_pairs
-        out = finish(self, combo, pair_scalar, q_pairs, pool, g_rem, q_target, d_target)
+        out = finish(self, combo, pair_scalar, q_pairs, pool, p, grades, q_target, degrees)
         if all(kind != "d" for kind, *_ in combo):
             out = list(out)
             dfree_rejected[0] += not out
@@ -307,6 +327,56 @@ def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
     # rejected there
     assert pruned_dfree == 0 < full_dfree
     assert any(not p.is_zero() for res in perturbed.values() for p in res.values())
+
+
+def _residual_by_singletons(solver, a, m, cap, genus_cap):
+    # the residual as one singleton-range cluster walk per label set, grade
+    # and degree, summed grade by grade
+    rd = solver.rd
+    h = rd.h
+    out = {}
+    for g in range(genus_cap + 1):
+        parts = []
+        for labels in combinations(range(1, h + 1), h + 1 - a):
+            for d in range(cap + 1):
+                for grade, scalar, factor, poly in solver._cluster(
+                        labels, (g, g), (), -h - m * h, (d, d), True, rd.ctx.one):
+                    assert grade == g
+                    parts.append((scalar, factor, poly))
+        out[g] = weighted_sum(rd.ctx, parts)
+    return out
+
+
+@pytest.mark.parametrize("N, degree, m_in", [(1, 8, 1), (2, 6, 1), (3, 5, 0)])
+def test_residual_walk_matches_singleton_sum(N, degree, m_in):
+    # one walk over all grades and degrees gives, grade by grade, the sum of
+    # the singleton-range walks, on the solved table and after corrupting one
+    # slice per genus; there the residual is nonzero at every grade and at
+    # both ends of the degree range
+    cap = 3
+    table = solve_recursion(RootData(N), 2, degree, m_in=m_in)
+    solver = table.solver
+
+    def compare():
+        reached = set()
+        for a in range(1, N + 1):
+            for m in (0, 1):
+                want = _residual_by_singletons(solver, a, m, cap, 2)
+                for genus_cap in range(3):
+                    got = solver.constraint_residual(a, m, cap, genus_cap)
+                    assert got == {g: want[g] for g in range(genus_cap + 1)}, (a, m, genus_cap)
+                for g, poly in want.items():
+                    for mono in poly.terms:
+                        reached.add(("grade", g))
+                        reached.add(("degree", sum(e for _, e in mono)))
+        return reached
+
+    assert compare() == set()
+    solver.perturb(0, (Var(0, N),), 2, (x(0, 1) * x(0, N)).scale(Fraction(1, 7)))
+    solver.perturb(1, (Var(0, N),), 1, x(0, 1).scale(Fraction(1, 3)))
+    solver.perturb(2, (Var(0, N),), 0, SparsePoly.constant(Fraction(1, 5)))
+    reached = compare()
+    assert {("grade", 0), ("grade", 1), ("grade", 2), ("degree", 0), ("degree", cap)} <= reached
 
 
 # -- derivative-block plans -------------------------------------------------------

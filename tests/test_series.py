@@ -267,9 +267,9 @@ def test_no_user_of_the_shared_sum_stores_a_zero(coeff, data):
     w = _CTX.from_rat(data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=3)))
     w = w * _CTX.eta_pow(data.draw(st.integers(0, 4)))
     u = _CTX.from_rat(data.draw(_RAT))
-    assert weighted_sum(_CTX, [(w, r), (-w, r)]).terms == {}
+    assert weighted_sum(_CTX, [(w, 1, r), (-w, 1, r)]).terms == {}
     # the eta-parts cancel and u * (r - s) is left
-    assert _no_stored_zero(weighted_sum(_CTX, [(w + u, r), (-w, r), (-u, s)]))
+    assert _no_stored_zero(weighted_sum(_CTX, [(w + u, 1, r), (-w, 1, r), (-u, 1, s)]))
     # slot 0 of (p L^0 + L^(1/h)) (L^0 - p L^(-1/h)) is p - p
     h = _CTX.h
     one = SparsePoly.constant(Fraction(1))
@@ -406,18 +406,32 @@ def test_weighted_sum_with_cancelling_eta_parts_is_the_fraction_sum(parts):
     weighted = []
     for r, a, k, p in parts:
         eta_part = ctx.from_rat(a) * ctx.eta_pow(k)
-        weighted += [(ctx.from_rat(r) + eta_part, p), (-eta_part, p)]
+        weighted += [(ctx.from_rat(r) + eta_part, 1, p), (-eta_part, 1, p)]
     want = _ref_sum((m, r * c) for r, _, _, p in parts for m, c in p.terms.items())
     _check(weighted_sum(ctx, weighted), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(st.tuples(_KRAT, _KRAT, st.integers(1, _CTX.h - 1),
+                                st.integers(-60, 60), _kernel_polys()), max_size=4))
+def test_weighted_sum_int_factor_is_the_field_product(parts):
+    # an int factor beside the scalar gives the sum of (scalar * factor) * poly;
+    # each eta-part cancels against its negation under the same factor
+    ctx = _CTX
+    triples = [(ctx.from_rat(r) + ctx.from_rat(a) * ctx.eta_pow(k), f, p)
+               for r, a, k, f, p in parts]
+    triples += [(-ctx.from_rat(a) * ctx.eta_pow(k), f, p) for r, a, k, f, p in parts]
+    want = weighted_sum(ctx, [(s * f, 1, p) for s, f, p in triples])
+    _check(weighted_sum(ctx, triples), dict(want.terms))
 
 
 def test_weighted_sum_checks_its_scalars():
     ctx = _CTX
     p = (x(0, 1) * x(1, 2)).scale(Fraction(1, 3)) + x(2, 3).scale(Fraction(5, 7))
     with pytest.raises(NotRationalError):
-        weighted_sum(ctx, [(ctx.eta_pow(1), p), (ctx.one, p)])
+        weighted_sum(ctx, [(ctx.eta_pow(1), 1, p), (ctx.one, 1, p)])
     with pytest.raises(ContextMismatchError):
-        weighted_sum(ctx, [(ctx.one, p), (cyc_context(4).one, p)])
+        weighted_sum(ctx, [(ctx.one, 1, p), (cyc_context(4).one, 1, p)])
 
 
 def test_weighted_sum_rejects_a_single_irrational_monomial():
@@ -425,10 +439,10 @@ def test_weighted_sum_rejects_a_single_irrational_monomial():
     ctx = _CTX
     t1, t2, t3 = x(0, 1), x(0, 2), x(1, 3)
     eta = ctx.eta_pow(1)
-    parts = [(eta, t1 + t2), (-eta, t1 + t2), (ctx.one, t1 - t2)]
+    parts = [(eta, 1, t1 + t2), (-eta, 1, t1 + t2), (ctx.one, 1, t1 - t2)]
     assert weighted_sum(ctx, parts) == t1 - t2
     with pytest.raises(NotRationalError) as exc:
-        weighted_sum(ctx, parts + [(eta, t3.scale(Fraction(2, 3)))])
+        weighted_sum(ctx, parts + [(eta, 1, t3.scale(Fraction(2, 3)))])
     assert exc.value.scalar == eta * ctx.from_rat(Fraction(2, 3))
 
 
