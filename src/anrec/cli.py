@@ -10,7 +10,12 @@ consistency error, 2 usage error or an output that cannot be written, 141
 (128 + SIGPIPE, as a shell reports a process killed by SIGPIPE) when the
 reader closes standard output early.
 ``potential`` prints its payload even when a verdict stamped into its
-``checks`` fails, and then exits 1.
+``checks`` fails, and then exits 1.  An engine that finds its own output
+inconsistent (:class:`~anrec.recursion.ConsistencyError`,
+:class:`~anrec.genus0.WellFoundednessError`,
+:class:`~anrec.exactnum.NotRationalError`) makes any command print
+"internal consistency failure: ..." on standard error, emit nothing and
+exit 1.
 """
 
 from __future__ import annotations
@@ -155,17 +160,11 @@ def cmd_potential(args) -> int:
     if args.n is None:
         raise _Usage("potential requires --n")
     rd = _rank(args.n)
-    try:
-        if args.genus == 0:
-            profile = Profile(N=args.n, m_in=args.m_in, D=args.degree)
-            pot = solve(rd, profile, m_out=args.m_in)
-            payload = pot.to_json()
-        else:
-            table = solve_recursion(rd, args.genus, args.degree, m_in=args.m_in)
-            payload = table.to_json()
-    except (ConsistencyError, WellFoundednessError, NotRationalError) as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 1
+    if args.genus == 0:
+        profile = Profile(N=args.n, m_in=args.m_in, D=args.degree)
+        payload = solve(rd, profile, m_out=args.m_in).to_json()
+    else:
+        payload = solve_recursion(rd, args.genus, args.degree, m_in=args.m_in).to_json()
     _emit(payload, args)
     # the payload is emitted either way; a failing stamped verdict sets the exit code
     return 0 if all(c["pass"] for c in payload.get("checks", {}).values()) else 1
@@ -350,6 +349,10 @@ def main(argv: list[str] | None = None) -> int:
     except _Usage as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except (ConsistencyError, WellFoundednessError, NotRationalError) as exc:
+        # an engine found its own output inconsistent: nothing is emitted
+        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_BROKEN_PIPE

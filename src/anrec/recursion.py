@@ -15,9 +15,21 @@ selects which configurations contribute at genus g.
 
 One walk over the pair sets and slot options of a label set serves a range
 of grades and of degrees: each configuration is found once and closed at
-every (grade, degree) in range that its blocks can reach.  A W-slice asks
-for one grade and one degree; a constraint residual asks for every grade
-and degree it reports in one walk per label set.
+every (grade, degree) in range that its blocks can reach.  A constraint
+residual asks for every grade and degree it reports in one walk per label
+set.  A W-slice group (g, dirs) keeps its walk instead: the first slice
+asked walks the group's label sets up to its degree, and a slice asked at a
+higher degree extends that walk only over configurations with more input
+variables.  The configurations are kept as records, grouped by shape
+(#derivative modes, #pending directions, g - #pairs, #inputs) and, within a
+shape, by derivative modes, level total and pending directions, with their
+input monomials summed per scalar; a degree-d slice closes every record
+whose shape has a block plan at degree d - #inputs.  At m_in >= 1 the input
+x_{1,N} (the dilaton direction) weighs zero, so the closing of (g, dirs, d)
+reads slices (g, dirs, d') of its own group, always at d' < d.  Such a
+read may fill a slice of the group while the outer closing iterates its
+records, so closing is re-entrant: a fill never changes a record map handed
+out before, and an extension builds a new one.
 The slot walk hands on only configurations that can contribute: the
 exponent budget must leave every derivative mode a level >= 0, and one with
 no derivative mode must close on the spot (no pending direction, its pair
@@ -26,7 +38,7 @@ a degree in range).
 How the derivative modes then split into levels and into blocks with their
 genera and degrees depends on a few integers alone, so those enumerations
 are built once per shape (:func:`_level_vectors`, :func:`_block_plans`) and
-each configuration only looks up W-slices and multiplies.  The level
+each record only looks up W-slices and multiplies.  The level
 factor stays an int beside the configuration scalar down to
 :func:`anrec.series.weighted_sum`.  A W-slice that
 weighted homogeneity forces to zero is never expanded: with x_{m,a} of
@@ -176,9 +188,12 @@ class DescendantSolver:
         self.rd = rd
         self.m_in = m_in
         self._w: dict[tuple, SparsePoly] = {}
+        # (g, dirs) -> (input count walked, records, walk units): see _group_records
+        self._groups: dict[tuple, tuple[int, dict, list]] = {}
         self._stack: set[tuple] = set()
         self._prop: dict[tuple[int, int], CycScalar] = {}
         self._kernel: dict[tuple[tuple[int, ...], int], CycScalar] = {}
+        self._choices: dict[tuple, tuple[tuple, ...]] = {}
 
     # -- scalar caches -------------------------------------------------------
 
@@ -233,57 +248,85 @@ class DescendantSolver:
         rd = self.rd
         h = rd.h
         m, a = dirs[0]
-        ext = dirs[1:]
+        parts = ((scalar, factor, poly) for _, scalar, factor, poly in self._close(
+            self._group_records(g, dirs, d), (g, g), (d, d)))
+        return weighted_sum(rd.ctx, parts).scale(Fraction(-1, h * norm_factor(h, m, a)))
 
-        def parts():
+    def _group_records(self, g: int, dirs: tuple[Var, ...], d: int) -> dict:
+        """The :meth:`_records` of the W-slice group (g, dirs), walked to d input variables.
+
+        The first request lists the group's walk units (label sets, pair
+        sets and placements of the other directions) and walks them up to d
+        input variables; a later one at a higher degree walks the same units
+        again over the configurations with more input variables than walked
+        before.  Their records have new shapes only (n grows) and go into a
+        new dict: a record map handed out earlier never changes under a
+        closing that iterates it.
+        """
+        walked, records, units = self._groups.get((g, dirs), (-1, {}, None))
+        if walked >= d:
+            return records
+        if units is None:
+            h = self.rd.h
+            m, a = dirs[0]
+            units = []
             for size in range(2, h + 1):
-                r = size - 1
-                q_target = -h - (h * (m + 1) - (a + r))
+                q_target = -h - (h * (m + 1) - (a + size - 1))
                 for labels in combinations(range(1, h + 1), size):
                     ks = self._kernel_scalar(labels, a)
-                    if ks.is_zero():
-                        continue
-                    for _, scalar, factor, poly in self._cluster(
-                            labels, (g, g), ext, q_target, (d, d), False, ks):
-                        yield scalar, factor, poly
-
-        return weighted_sum(rd.ctx, parts()).scale(Fraction(-1, h * norm_factor(h, m, a)))
+                    if not ks.is_zero():
+                        units.extend(self._units(labels, q_target, g, dirs[1:], False, ks))
+        inputs = (walked + 1, d)
+        records = {**records, **self._records(self._walk(units, (g, g), inputs, inputs[0]))}
+        self._groups[(g, dirs)] = (d, records, units)
+        return records
 
     # -- the cluster expansion ---------------------------------------------------
 
     def _cluster(self, slots: tuple[int, ...], grades: tuple[int, int],
                  externals: tuple[Var, ...], q_target: int, degrees: tuple[int, int],
                  shift: bool, scalar: CycScalar):
-        """Yield (grade, scalar, factor, poly) for every contributing configuration.
+        """Yield (grade, scalar, factor, poly) for the configurations of one label set.
 
         Grades and degrees run over the inclusive ranges ``grades`` and
         ``degrees``; each part is scalar * factor * poly, with ``factor`` an
-        int and ``poly`` rational.  One walk over the pair sets and slot
-        options serves the whole range: a configuration is found once, and
-        :meth:`_finish` closes it at each (grade, degree) its blocks can
-        reach.  Every yielded scalar carries the factor ``scalar``, which
-        enters once per pair set as the start of its product of propagators.
+        int and ``poly`` rational.  One :meth:`_walk` serves the whole range:
+        a configuration is found once, and :meth:`_close` closes its record
+        at each (grade, degree) its blocks can reach.  The arguments are
+        those of :meth:`_units`.
+        """
+        units = self._units(slots, q_target, grades[1], externals, shift, scalar)
+        records = self._records(self._walk(units, grades, (0, degrees[1]), degrees[0]))
+        return self._close(records, grades, degrees)
+
+    def _units(self, slots: tuple[int, ...], q_target: int, max_pairs: int,
+               externals: tuple[Var, ...], shift: bool, scalar: CycScalar):
+        """Yield (q_target, p, pool, choice_lists, scalar, rotated) per walk unit of ``slots``.
+
+        A unit is a set of p <= ``max_pairs`` disjoint slot pairs and a
+        placement of the pending derivative directions ``externals``: each
+        lands either on an input mode of one unpaired slot, fixing that
+        slot's option, or in ``pool``, inside one derivative block.
+        ``choice_lists`` are the options of the unpaired slots, ``scalar``
+        is the given one times the pairs' propagators, and ``rotated`` caches
+        its eta-rotations, shared by the units of one pair set.
 
         ``slots`` are distinct labels, so no pair of them contracts to zero.
-        ``externals`` are pending derivative directions: each lands either on
-        an input mode of one slot or inside one derivative block.  ``shift``
-        enables the constant insertion that realises the dilaton shift of the
-        level-one top slot.
+        ``q_target`` is the exponent the configurations of ``slots`` must
+        reach, passed on to :meth:`_walk`.  ``shift`` enables the constant
+        insertion that realises the dilaton shift of the level-one top slot.
         """
-        g_lo, g_hi = grades
-        d_lo, d_hi = degrees
-        h = self.rd.h
         positions = tuple(range(len(slots)))
         for pairs in _pair_sets(positions):
             p = len(pairs)
-            if p > g_hi:
+            if p > max_pairs:
                 continue
             pair_scalar = scalar
             for (s1, s2) in pairs:
                 pair_scalar = pair_scalar * self._pair_value(slots[s1], slots[s2])
+            rotated: dict[int, CycScalar] = {}  # pair_scalar * eta^k by k mod h
             paired = {x for pr in pairs for x in pr}
             rest = tuple(i for i in positions if i not in paired)
-            q_pairs = -2 * h * p
             u = len(rest)
             for assign in iproduct(range(u + 1), repeat=len(externals)):
                 slot_ext: list[Var | None] = [None] * u
@@ -301,175 +344,232 @@ class DescendantSolver:
                     continue
                 choice_lists = [self._slot_choices(slots[i], slot_ext[k], shift)
                                 for k, i in enumerate(rest)]
-                if any(not cl for cl in choice_lists):
-                    continue
-                # a derivative-free closure has grade p, so it needs p in range
-                # and no pending direction; otherwise no input count admits one
-                floor = d_lo if not pool and p >= g_lo else d_hi + 1
-                for combo in self._slot_combos(choice_lists, d_hi,
-                                               q_target - q_pairs, floor):
-                    yield from self._finish(combo, pair_scalar, q_pairs, tuple(pool),
-                                            p, grades, q_target, degrees)
+                if all(choice_lists):
+                    yield q_target, p, tuple(pool), choice_lists, pair_scalar, rotated
 
-    def _slot_combos(self, choice_lists: list[list[tuple]], max_inputs: int,
+    def _walk(self, units, grades: tuple[int, int], inputs: tuple[int, int], floor: int):
+        """Yield every configuration of ``units`` with an input count in ``inputs`` that can close.
+
+        ``units`` are :meth:`_units` tuples.
+        Each configuration is (p, pool, n, dslots, total_lv, scalar, sign,
+        xs): its pair count, the pending directions left to the blocks, its
+        input count, the sorted flat indices b of its derivative modes, the
+        sum of their level + 1, its scalar (the unit's times eta^k_sum, one
+        object per pair set and k mod h), sign and sorted input variables.  A
+        configuration without derivative modes closes on the spot, at grade
+        p and degree n, so it is found only if it carries no pending
+        direction, p is a grade in range and n is at least ``floor``.  Plans
+        are left to the caller, which knows the (grade, degree) it closes at.
+        """
+        g_lo = grades[0]
+        h = self.rd.h
+        for q_target, p, pool, choice_lists, pair_scalar, rotated in units:
+            q_pairs = -2 * h * p
+            # a derivative-free closure has grade p, so it needs p in range
+            # and no pending direction; otherwise no input count admits one
+            least = floor if not pool and p >= g_lo else inputs[1] + 1
+            for combo in self._slot_combos(choice_lists, inputs, q_target - q_pairs, least):
+                config = self._configuration(combo, q_pairs, q_target, inputs, least)
+                if config is None:
+                    continue
+                n, dslots, total_lv, k, sign, xs = config
+                got = rotated.get(k)
+                if got is None:
+                    got = rotated[k] = pair_scalar.rotate(k)
+                yield p, pool, n, dslots, total_lv, got, sign, xs
+
+    def _slot_combos(self, choice_lists: list[tuple[tuple, ...]], inputs: tuple[int, int],
                      q_residue: int, floor: int):
-        """The slot-choice product, pruned to what :meth:`_finish` can keep.
+        """The slot-choice product, pruned to what :meth:`_configuration` keeps.
 
         Each option has the slack dq - h*[kind == 'd']; a configuration
-        survives :meth:`_finish` only if its slacks sum to at least
-        ``q_residue`` (leaving every derivative mode a level >= 0) and to
-        ``q_residue`` mod h.  One without derivative modes closes no block,
-        so it survives only when its slacks sum to ``q_residue`` exactly and
-        it carries at least ``floor`` input variables (a floor above
-        ``max_inputs`` admits none).
-        A branch is dropped once it carries more than ``max_inputs`` input
-        variables, or once the largest slack the remaining slots can add
-        cannot reach ``q_residue``; the last slot keeps only the options that
-        close the gap, mod h and in size, and that meet the rule above.
-        Every configuration the full product adds beyond these fails the
-        same checks in :meth:`_finish`.
+        survives only if its slacks sum to at least ``q_residue`` (leaving
+        every derivative mode a level >= 0) and to ``q_residue`` mod h, and
+        if its input count lies in the inclusive range ``inputs``.  One
+        without derivative modes closes no block, so it survives only when
+        its slacks sum to ``q_residue`` exactly and it carries at least
+        ``floor`` input variables (a floor above the range admits none).
+        A branch is dropped once it carries more input variables than the
+        range allows, once the slots left cannot bring it up to the least
+        count, or once the largest slack the remaining slots can add cannot
+        reach ``q_residue``; the last slot keeps only the options that close
+        the gap, mod h and in size, and that meet the rules above.  Every
+        configuration the full product adds beyond these fails the same
+        checks in :meth:`_configuration`.
         """
         h = self.rd.h
+        lo, hi = inputs
         if not choice_lists:
             # all slots paired: the pairs alone must close the configuration
-            if q_residue == 0 and floor <= 0:
+            if q_residue == 0 and max(lo, floor) <= 0:
                 yield ()
             return
-        slack = [[opt[3] - h * (opt[0] == "d") for opt in opts] for opts in choice_lists]
-        # reach[i]: the largest slack slots i.. can still add
-        reach = [0] * (len(choice_lists) + 1)
-        for i in range(len(choice_lists) - 1, -1, -1):
-            reach[i] = reach[i + 1] + max(slack[i])
-        *head, last = choice_lists
+        # per option: (option, slack, is an input, is a derivative mode)
+        rows = [[(opt, opt[3] - h * (opt[0] == "d"), opt[0] == "x", opt[0] == "d")
+                 for opt in opts] for opts in choice_lists]
+        # reach[i]: the largest slack slots i.. can still add; room[i]: the
+        # most input variables they can still add
+        reach = [0] * (len(rows) + 1)
+        room = [0] * (len(rows) + 1)
+        for i in range(len(rows) - 1, -1, -1):
+            reach[i] = reach[i + 1] + max(row[1] for row in rows[i])
+            room[i] = room[i + 1] + any(row[2] for row in rows[i])
+        *head, last = rows
         by_residue: dict[int, list[tuple]] = {}
-        for opt, sl in zip(last, slack[-1]):
-            by_residue.setdefault(sl % h, []).append((opt, sl))
+        for row in last:
+            by_residue.setdefault(row[1] % h, []).append(row)
 
-        def walk(i: int, s: int, inputs: int, has_d: bool, prefix: tuple):
+        def walk(i: int, s: int, n: int, has_d: bool, prefix: tuple):
             if i == len(head):
-                for opt, sl in by_residue.get((q_residue - s) % h, ()):
-                    n = inputs + (opt[0] == "x")
-                    if n > max_inputs or s + sl < q_residue:
-                        continue
-                    if has_d or opt[0] == "d" or (s + sl == q_residue and n >= floor):
+                for opt, sl, x, d in by_residue.get((q_residue - s) % h, ()):
+                    if lo <= n + x <= hi and s + sl >= q_residue and (
+                            has_d or d or (s + sl == q_residue and n + x >= floor)):
                         yield prefix + (opt,)
                 return
-            for opt, sl in zip(head[i], slack[i]):
-                n = inputs + (opt[0] == "x")
-                if n <= max_inputs and s + sl + reach[i + 1] >= q_residue:
-                    yield from walk(i + 1, s + sl, n, has_d or opt[0] == "d",
-                                    prefix + (opt,))
+            ahead, more = reach[i + 1], room[i + 1]
+            for opt, sl, x, d in head[i]:
+                if lo <= n + x + more and n + x <= hi and s + sl + ahead >= q_residue:
+                    yield from walk(i + 1, s + sl, n + x, has_d or d, prefix + (opt,))
 
         yield from walk(0, 0, 0, False, ())
 
-    def _slot_choices(self, l: int, ext: Var | None, shift: bool) -> list[tuple]:
-        """Mode options for one unpaired slot of label l.
+    def _slot_choices(self, l: int, ext: Var | None, shift: bool) -> tuple[tuple, ...]:
+        """Mode options for one unpaired slot of label l, memoised.
 
         Each option is (kind, sign, k, q, payload) with slot weight
         sign * eta^k: kind 'x' carries an input variable, 'c' a constant
         factor (a consumed external or the dilaton insertion), 'd' a
         derivative mode whose level is fixed later by the exponent budget.
         """
+        key = (l, ext, shift)
+        got = self._choices.get(key)
+        if got is not None:
+            return got
         rd = self.rd
         out: list[tuple] = []
         if ext is not None:
             out.append(("c", 1, -l * ext.a, ext.m * rd.h - ext.a, None))
-            return out
-        for b in range(1, rd.N + 1):
-            for k in range(self.m_in + 1):
-                out.append(("x", 1, -l * b, k * rd.h - b, Var(k, b)))
-            out.append(("d", 1, -l * b, -b, b))
-        if shift:
-            out.append(("c", -1, -l * rd.N, 1, None))
-        return out
+        else:
+            for b in range(1, rd.N + 1):
+                for k in range(self.m_in + 1):
+                    out.append(("x", 1, -l * b, k * rd.h - b, Var(k, b)))
+                out.append(("d", 1, -l * b, -b, b))
+            if shift:
+                out.append(("c", -1, -l * rd.N, 1, None))
+        got = self._choices[key] = tuple(out)
+        return got
 
-    def _finish(self, combo, pair_scalar: CycScalar, q_pairs: int,
-                pool: tuple[Var, ...], p: int, grades: tuple[int, int], q_target: int,
-                degrees: tuple[int, int]):
-        """Fix derivative levels, block structure, genera, and degree splits.
+    def _configuration(self, combo, q_pairs: int, q_target: int,
+                       inputs: tuple[int, int], floor: int):
+        """(n, dslots, total_lv, k, sign, xs) for one slot combination, or None.
 
-        The signs, exponent, inputs, derivative modes and the level check
-        are formed once per configuration; then every (grade, degree) in
-        range with a nonempty :func:`_block_plans` is closed.  Every exponent,
-        degree and genus check runs before any field arithmetic.  The levels
-        come from :func:`_level_vectors` and the blocks, genera and degrees
-        from :func:`_block_plans`, both memoised on integers, so here only
-        directions are built, W-slices looked up and products formed.  The
-        level factor sign * prod (b + k*h) stays an int, yielded beside the
-        configuration scalar pair_scalar * eta^k, which is formed once, at
-        the first contribution.
+        The signs, the eta exponent k (mod h), the sorted input variables xs
+        and their count n, the derivative modes and the exponent check are formed
+        here, before any field arithmetic.  A combination is dropped unless n
+        lies in ``inputs`` and the exponent budget either leaves every
+        derivative mode a level >= 0, with total_lv the sum of level + 1,
+        or, without derivative modes, is met exactly by at least ``floor``
+        input variables.
         """
-        rd = self.rd
-        h = rd.h
-        g_lo, g_hi = grades
-        d_lo, d_hi = degrees
+        h = self.rd.h
         sign = 1
         k_sum = 0
         q = q_pairs
-        xt_vars: list[Var] = []
+        xs: list[Var] = []
         dslots: list[int] = []  # flat indices b of derivative modes
         for kind, s, k, dq, payload in combo:
             sign *= s
             k_sum += k
             q += dq
             if kind == "x":
-                xt_vars.append(payload)
+                xs.append(payload)
             elif kind == "d":
                 dslots.append(payload)
-        u_d = len(dslots)
-        n = len(xt_vars)
-        if n > d_hi:
-            return
-        if u_d == 0:
-            if pool or not g_lo <= p <= g_hi or q != q_target or n < d_lo:
-                return
-            yield p, pair_scalar.rotate(k_sum), sign, SparsePoly.monomial(xt_vars)
-            return
+        n = len(xs)
         span = q - q_target
-        if span < u_d * h or span % h:
-            return
-        total_lv = span // h  # sum of (level + 1) over derivative modes
-        closures = []
-        for g in range(max(g_lo, p), g_hi + 1):
-            for d in range(max(d_lo, n), d_hi + 1):
-                plans = _block_plans(u_d, len(pool), g - p, d - n)
-                if plans:
-                    closures.append((g, plans))
-        if not closures:
-            return
-        base = None  # the input monomial, built at the first product formed
-        scalar = None
-        for levels in _level_vectors(total_lv, u_d):
-            factor = sign
-            dirs: list[Var] = []
-            for b, k in zip(dslots, levels):
-                factor *= b + k * h
-                dirs.append(Var(k, h - b))
-            for g, plans in closures:
-                for partition, pool_assign, gvec, dvec in plans:
-                    block_dirs: list[list[Var]] = [
-                        [dirs[i] for i in block] for block in partition]
-                    for v, t in zip(pool, pool_assign):
-                        block_dirs[t].append(v)
-                    poly = None
-                    for gb, bd, db in zip(gvec, block_dirs, dvec):
-                        w = self.w_slice(gb, tuple(bd), db)
-                        if w.is_zero():
-                            poly = None
-                            break
-                        if poly is not None:
-                            poly = poly * w
-                        elif xt_vars:
-                            if base is None:
-                                base = SparsePoly.monomial(xt_vars)
-                            poly = base * w
-                        else:
-                            poly = w
-                    if poly is None:
-                        continue
-                    if scalar is None:
-                        scalar = pair_scalar.rotate(k_sum)
-                    yield g, scalar, factor, poly
+        lo, hi = inputs
+        if not lo <= n <= hi or span % h:
+            return None
+        if dslots:
+            if span < len(dslots) * h:
+                return None
+        elif span or n < floor:
+            return None
+        return n, tuple(sorted(dslots)), span // h, k_sum % h, sign, tuple(sorted(xs))
+
+    @staticmethod
+    def _records(configurations) -> dict:
+        """Configurations from :meth:`_walk` grouped into records for :meth:`_close`.
+
+        The records map a shape (u_d, n_pool, p, n) to entries (dslots,
+        total_lv, pool, terms), one per set of derivative modes, level total
+        and pool, whose terms (scalar, sign, inputs) sum the input monomials
+        of its configurations per scalar and sign.  A configuration without
+        derivative modes has the shape (0, 0, p, n).  The configurations of
+        one entry close alike, since the sum over level vectors and plans
+        does not depend on the order of the derivative modes.
+        """
+        found: dict[tuple, dict] = {}
+        for p, pool, n, dslots, total_lv, scalar, sign, xs in configurations:
+            entry = found.setdefault((len(dslots), len(pool), p, n), {}) \
+                .setdefault((dslots, total_lv, pool), {}) \
+                .setdefault((scalar, sign), {})
+            entry[xs] = entry.get(xs, 0) + 1
+        return {shape: [(dslots, total_lv, pool,
+                         tuple((scalar, sign, SparsePoly.monomial_sum(monos))
+                               for (scalar, sign), monos in terms.items()))
+                        for (dslots, total_lv, pool), terms in entries.items()]
+                for shape, entries in found.items()}
+
+    def _close(self, records: dict, grades: tuple[int, int], degrees: tuple[int, int]):
+        """Yield (grade, scalar, factor, poly) for every closing of ``records``.
+
+        A record of shape (u_d, n_pool, p, n) closes at every (g, d) in the
+        inclusive ranges with a nonempty :func:`_block_plans` (u_d, n_pool,
+        g - p, d - n); one without derivative modes has the single empty
+        level vector and plan at g = p and d = n, which close it as its
+        inputs alone.  The levels come from :func:`_level_vectors`.  Each
+        level vector and plan looks up its W-slices once, and a product of
+        them that is not zero is multiplied by the inputs of every term.
+        The level factor sign * prod (b + k*h) stays an int beside the
+        scalar.  ``records`` is read as it is, so a fill that the W-slice
+        lookups start may extend a walk but never changes what is iterated.
+        """
+        g_lo, g_hi = grades
+        d_lo, d_hi = degrees
+        h = self.rd.h
+        for (u_d, n_pool, p, n), entries in records.items():
+            closures = []
+            for g in range(max(g_lo, p), g_hi + 1):
+                for d in range(max(d_lo, n), d_hi + 1):
+                    plans = _block_plans(u_d, n_pool, g - p, d - n)
+                    if plans:
+                        closures.append((g, plans))
+            if not closures:
+                continue
+            for dslots, total_lv, pool, terms in entries:
+                for levels in _level_vectors(total_lv, u_d):
+                    factor = 1
+                    dirs: list[Var] = []
+                    for b, k in zip(dslots, levels):
+                        factor *= b + k * h
+                        dirs.append(Var(k, h - b))
+                    for g, plans in closures:
+                        for partition, pool_assign, gvec, dvec in plans:
+                            block_dirs: list[list[Var]] = [
+                                [dirs[i] for i in block] for block in partition]
+                            for v, t in zip(pool, pool_assign):
+                                block_dirs[t].append(v)
+                            blocks = None  # the product of the block slices so far
+                            for gb, bd, db in zip(gvec, block_dirs, dvec):
+                                w = self.w_slice(gb, tuple(bd), db)
+                                if w.is_zero():
+                                    break
+                                blocks = w if blocks is None else blocks * w
+                            else:
+                                for scalar, sign, poly in terms:
+                                    yield (g, scalar, sign * factor,
+                                           poly if blocks is None else poly * blocks)
 
     # -- exposed evaluations ------------------------------------------------------
 

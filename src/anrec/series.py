@@ -112,6 +112,13 @@ def _pack(mono: Mono) -> int:
     return key + deg
 
 
+def _mono_key(vs: tuple[Var, ...]) -> int:
+    """The packed key of the product of ``vs``, which may repeat."""
+    if len(vs) > MAX_DEGREE:
+        raise _degree_error(len(vs))
+    return sum((1 << _shift(v)) + 1 for v in vs)
+
+
 def _unpack(key: int) -> Mono:
     out = []
     for v in _VARS:
@@ -176,10 +183,16 @@ class SparsePoly:
     @staticmethod
     def monomial(vs: Iterable[Var]) -> "SparsePoly":
         """The product of the variables ``vs``, which may repeat, with coefficient 1."""
-        vs = tuple(vs)
-        if len(vs) > MAX_DEGREE:
-            raise _degree_error(len(vs))
-        return _poly({sum((1 << _shift(v)) + 1 for v in vs): 1})
+        return _poly({_mono_key(tuple(vs)): 1})
+
+    @staticmethod
+    def monomial_sum(counts: Mapping[tuple[Var, ...], int]) -> "SparsePoly":
+        """The sum of count * (product of the variables) over the items of ``counts``.
+
+        Keys are variable tuples as :meth:`monomial` takes them; two keys with
+        the same variables in another order name the same monomial.
+        """
+        return _poly(_accumulate({}, ((_mono_key(vs), c) for vs, c in counts.items()), not_))
 
     @staticmethod
     def from_terms(items: Iterable[tuple[Mono, Rat]]) -> "SparsePoly":

@@ -231,6 +231,62 @@ def test_potential_exits_1_on_a_failing_stamped_verdict(capsys, monkeypatch):
     assert checks["euler"]["pass"] is True
 
 
+def _corrupt_genus0_slice(monkeypatch, key, extra):
+    # add ``extra`` to the genus-0 slice p_{m,a} of degree d, key = (m, a, d)
+    from anrec.genus0 import G0Solver
+    p_slice = G0Solver.p_slice
+
+    def corrupted(self, m, a, d):
+        out = p_slice(self, m, a, d)
+        return out + extra if (m, a, d) == key else out
+
+    monkeypatch.setattr(G0Solver, "p_slice", corrupted)
+
+
+def _engine_failure(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal consistency failure: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_verify_reports_a_genus0_cross_check_failure(capsys, monkeypatch):
+    # x_{0,2}^4 added to the top slice p_{0,2} keeps the mixed partials equal,
+    # so only the comparison of the two genus-0 engines sees it
+    from anrec.series import SparsePoly, Var
+    _corrupt_genus0_slice(monkeypatch, (0, 2, 4), SparsePoly.variable(Var(0, 2)) ** 4)
+    _engine_failure(capsys, ("verify", "wconstraint", "--n", "2", "--degree", "5",
+                             "--genus", "1", "--cap", "2", "--m-max", "0"),
+                    "genus-zero output disagrees")
+
+
+@pytest.mark.parametrize("suite", ["wdvv", "euler"])
+def test_verify_reports_inconsistent_mixed_partials(capsys, monkeypatch, suite):
+    # x_{0,2}^3 added to p_{0,1} breaks the mixed partials of the genus-0 table
+    from anrec.series import SparsePoly, Var
+    _corrupt_genus0_slice(monkeypatch, (0, 1, 3), SparsePoly.variable(Var(0, 2)) ** 3)
+    _engine_failure(capsys, ("verify", suite, "--n", "2", "--degree", "5"),
+                    "mixed partials disagree")
+
+
+@pytest.mark.parametrize("error", ["ConsistencyError", "WellFoundednessError",
+                                   "NotRationalError"])
+@pytest.mark.parametrize("argv", [
+    ("potential", "--n", "2", "--genus", "1", "--degree", "4"),
+    ("verify", "wconstraint", "--n", "2", "--degree", "4", "--genus", "1"),
+])
+def test_engine_errors_exit_1_without_traceback(capsys, monkeypatch, error, argv):
+    import anrec.cli
+    exc = getattr(anrec.cli, error)
+
+    def failing(*args, **kwargs):
+        raise exc(f"forced {error}")
+
+    monkeypatch.setattr(anrec.cli, "solve_recursion", failing)
+    _engine_failure(capsys, argv, f"forced {error}")
+
+
 def test_frontier_potential_content_hash(capsys):
     # the slowest (N, genus, degree) point of the table tests: its bytes are
     # pinned so that a faster cluster expansion must reproduce them exactly

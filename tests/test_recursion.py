@@ -9,7 +9,7 @@ import pytest
 
 from kdv_oracle import free_energy_coefficient, psi_correlator
 
-from anrec.genus0 import Profile, solve
+from anrec.genus0 import Profile, norm_factor, solve
 from anrec.recursion import (
     DescendantSolver,
     _block_plans,
@@ -274,7 +274,7 @@ def test_negative_genus_cap_rejected():
 
 # -- pruned cluster enumeration ------------------------------------------------------
 
-def _full_product(self, choice_lists, max_inputs, q_residue, floor):
+def _full_product(self, choice_lists, inputs, q_residue, floor):
     return iproduct(*choice_lists)
 
 
@@ -282,28 +282,27 @@ def _full_product(self, choice_lists, max_inputs, q_residue, floor):
 def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
     # the pruned slot product must leave the W-slice memo and every residual
     # (dilaton insertion on) exactly as the full product does,
-    # while handing fewer configurations to _finish, none whose exponent
+    # while handing fewer configurations to _configuration, none whose exponent
     # budget leaves a derivative mode a negative level, and no derivative-free
-    # one that _finish rejects; residuals are
+    # one that _configuration rejects; residuals are
     # compared on the solved table and again after corrupting one genus-zero
     # slice, where they no longer vanish
-    finish = DescendantSolver._finish
+    configuration = DescendantSolver._configuration
     seen = [0]
     short = [0]
     dfree_rejected = [0]
 
-    def counted(self, combo, pair_scalar, q_pairs, pool, p, grades, q_target, degrees):
+    def counted(self, combo, q_pairs, q_target, inputs, floor):
         seen[0] += 1
         h = self.rd.h
         slack = sum(dq - h * (kind == "d") for kind, _, _, dq, _ in combo)
         short[0] += slack < q_target - q_pairs
-        out = finish(self, combo, pair_scalar, q_pairs, pool, p, grades, q_target, degrees)
+        out = configuration(self, combo, q_pairs, q_target, inputs, floor)
         if all(kind != "d" for kind, *_ in combo):
-            out = list(out)
-            dfree_rejected[0] += not out
+            dfree_rejected[0] += out is None
         return out
 
-    monkeypatch.setattr(DescendantSolver, "_finish", counted)
+    monkeypatch.setattr(DescendantSolver, "_configuration", counted)
 
     def residuals(table):
         return {(a, m): w_residual(table, a, m, cap=2)
@@ -323,7 +322,7 @@ def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
     assert full == [memo, clean, perturbed]
     assert full_count > pruned_count
     assert pruned_short == 0 < full_short
-    # no configuration without a derivative mode reaches _finish only to be
+    # no configuration without a derivative mode reaches _configuration only to be
     # rejected there
     assert pruned_dfree == 0 < full_dfree
     assert any(not p.is_zero() for res in perturbed.values() for p in res.values())
@@ -379,6 +378,114 @@ def test_residual_walk_matches_singleton_sum(N, degree, m_in):
     assert {("grade", 0), ("grade", 1), ("grade", 2), ("degree", 0), ("degree", cap)} <= reached
 
 
+# -- the per-group walk memo --------------------------------------------------------
+
+def _slice_by_singletons(solver, g, dirs, d):
+    # the W-slice as one singleton-range cluster walk per label set, with
+    # nothing kept between degrees
+    rd = solver.rd
+    h = rd.h
+    m, a = dirs[0]
+    parts = []
+    for size in range(2, h + 1):
+        q_target = -h - (h * (m + 1) - (a + size - 1))
+        for labels in combinations(range(1, h + 1), size):
+            ks = solver._kernel_scalar(labels, a)
+            for grade, scalar, factor, poly in solver._cluster(
+                    labels, (g, g), dirs[1:], q_target, (d, d), False, ks):
+                assert grade == g
+                parts.append((scalar, factor, poly))
+    return weighted_sum(rd.ctx, parts).scale(Fraction(-1, h * norm_factor(h, m, a)))
+
+
+_MEMO_CASES = [(1, 4, 10, 3), (2, 2, 6, 1), (3, 2, 5, 0)]
+
+
+@pytest.mark.parametrize("N, genus, degree, m_in", _MEMO_CASES)
+def test_group_memo_matches_singleton_walks(N, genus, degree, m_in):
+    # every slice the incremental group walk filled equals the sum of the
+    # singleton-range walks of its label sets
+    from collections import Counter
+    solver = solve_recursion(RootData(N), genus, degree, m_in=m_in).solver
+    # some group's walk was extended at least twice
+    assert max(Counter((g, dirs) for g, dirs, _ in solver._w).values()) >= 3
+    for (g, dirs, d), value in list(solver._w.items()):
+        assert value == _slice_by_singletons(solver, g, dirs, d), (g, dirs, d)
+
+
+@pytest.mark.parametrize("N, genus, degree, m_in", _MEMO_CASES)
+def test_group_memo_does_not_depend_on_request_order(monkeypatch, N, genus, degree, m_in):
+    # the same keys asked in descending degree order, or shuffled, fill the
+    # same memo; and in every order each group walks each of its
+    # configurations once, so as many are kept as by the solve
+    import random
+    configuration = DescendantSolver._configuration
+    kept = [0]
+
+    def counted(self, *args):
+        out = configuration(self, *args)
+        kept[0] += out is not None
+        return out
+
+    monkeypatch.setattr(DescendantSolver, "_configuration", counted)
+    memo = solve_recursion(RootData(N), genus, degree, m_in=m_in).solver._w
+    walked = kept[0]
+    descending = sorted(memo, key=lambda key: (-key[2], key))
+    shuffled = sorted(memo)
+    random.Random(19).shuffle(shuffled)
+    for keys in (descending, shuffled):
+        kept[0] = 0
+        fresh = DescendantSolver(RootData(N), m_in=m_in)
+        for key in keys:
+            fresh.w_slice(*key)
+        assert fresh._w == memo
+        assert kept[0] == walked
+
+
+def test_slices_filled_after_a_perturbation_read_it():
+    # the walk of the group (1, (x_{0,2},)) is kept from degree 2 on; the
+    # slices filled at higher degree after perturbing degree 2 read the new
+    # value, as a walk from scratch does, and so differ from a clean solver's
+    N, g, dirs = 2, 1, (Var(0, 2),)
+    clean = DescendantSolver(RootData(N), m_in=1)
+    solver = DescendantSolver(RootData(N), m_in=1)
+    for d in range(3):
+        solver.w_slice(g, dirs, d)
+    solver.perturb(g, dirs, 2, (x(0, 2) ** 2).scale(Fraction(1, 7)))
+    for d in range(3, 6):
+        got = solver.w_slice(g, dirs, d)
+        assert got == _slice_by_singletons(solver, g, dirs, d), d
+        assert got != clean.w_slice(g, dirs, d), d
+
+
+@pytest.mark.parametrize("m_in", [0, 1])
+def test_fills_read_their_own_group_only_at_lower_degree(monkeypatch, m_in):
+    # a closing of (g, dirs, d) reads (g, dirs, d') through the weight-zero
+    # input x_{1,N} at m_in >= 1, always at d' < d; such a read may fill a
+    # slice of the group while the outer closing iterates its records
+    filling = []
+    reads = {"lower": 0, "not lower": 0}
+    w_rhs, w_slice = DescendantSolver._w_rhs, DescendantSolver.w_slice
+
+    def traced_rhs(self, g, dirs, d):
+        filling.append((g, dirs, d))
+        try:
+            return w_rhs(self, g, dirs, d)
+        finally:
+            filling.pop()
+
+    def traced_slice(self, g, dirs, d):
+        if filling and filling[-1][:2] == (g, tuple(sorted(dirs))):
+            reads["lower" if d < filling[-1][2] else "not lower"] += 1
+        return w_slice(self, g, dirs, d)
+
+    monkeypatch.setattr(DescendantSolver, "_w_rhs", traced_rhs)
+    monkeypatch.setattr(DescendantSolver, "w_slice", traced_slice)
+    solve_recursion(RootData(2), 2, 6, m_in=m_in)
+    assert reads["not lower"] == 0
+    assert (reads["lower"] > 0) == (m_in > 0)
+
+
 # -- derivative-block plans -------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -390,7 +497,7 @@ def _lex_compositions(total, parts, minimum):
 
 
 def _nested_plans(u_d, n_pool, g_rem, rem_deg):
-    # the five nested loops _finish ran for every configuration before the
+    # the five nested loops that closed every configuration before the
     # plans were memoised, with the minimum-degree filter applied after the
     # degree vector was generated
     out = []

@@ -379,6 +379,20 @@ def test_packed_kernel_matches_reference(coeff, data):
     _check(SparsePoly.monomial(vs), {tuple(sorted(Counter(vs).items())): Fraction(1)})
 
 
+def test_monomial_sum_adds_counted_monomials():
+    a, b = V(0, 1), V(1, 2)
+    counts = {(a, b, a): 2, (a, a, b): 3, (b,): -1, (): 4}
+    want = SparsePoly.zero()
+    for vs, c in counts.items():
+        want = want + SparsePoly.monomial(vs).scale(Fraction(c))
+    assert SparsePoly.monomial_sum(counts) == want
+    assert SparsePoly.monomial_sum(counts).terms == {
+        ((a, 2), (b, 1)): 5, ((b, 1),): -1, (): 4}
+    assert SparsePoly.monomial_sum({(a,): 0}).is_zero()
+    with pytest.raises(OverflowError):
+        SparsePoly.monomial_sum({(a,) * 256: 1})
+
+
 def test_degree_limit_of_packed_monomials():
     t = x(0, 1)
     top = t ** 255
