@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import hashlib
 import json
 import os
@@ -336,8 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call of main and reused by every later call in the process
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         try:
             args = ap.parse_args(argv)

@@ -14,37 +14,33 @@ number; the integer grade g = #pairs + #derivative-slots + sum(g_B - 1)
 selects which configurations contribute at genus g.
 
 One walk over the pair sets and slot options of a label set serves a range
-of grades and of degrees: each configuration is found once and closed at
-every (grade, degree) in range that its blocks can reach.  A constraint
-residual asks for every grade and degree it reports in one walk per label
-set.  A W-slice group (g, dirs) keeps its walk instead: the first slice
-asked walks the group's label sets up to its degree, and a slice asked at a
-higher degree extends that walk only over configurations with more input
-variables.  The configurations are kept as records, grouped by shape
-(#derivative modes, #pending directions, g - #pairs, #inputs) and, within a
-shape, by derivative modes, level total and pending directions, with their
-input monomials summed per scalar; a degree-d slice closes every record
-whose shape has a block plan at degree d - #inputs.  At m_in >= 1 the input
-x_{1,N} (the dilaton direction) weighs zero, so the closing of (g, dirs, d)
-reads slices (g, dirs, d') of its own group, always at d' < d.  Such a
-read may fill a slice of the group while the outer closing iterates its
-records, so closing is re-entrant: a fill never changes a record map handed
-out before, and an extension builds a new one.
-The slot walk hands on only configurations that can contribute: the
-exponent budget must leave every derivative mode a level >= 0, and one with
-no derivative mode must close on the spot (no pending direction, its pair
-count a grade in range, the exponent target hit exactly and its input count
-a degree in range).
-How the derivative modes then split into levels and into blocks with their
-genera and degrees depends on a few integers alone, so those enumerations
-are built once per shape (:func:`_level_vectors`, :func:`_block_plans`) and
-each record only looks up W-slices and multiplies.  The level
-factor stays an int beside the configuration scalar down to
-:func:`anrec.series.weighted_sum`.  A W-slice that
-weighted homogeneity forces to zero is never expanded: with x_{m,a} of
-weight (a+1)/h - m, every monomial of F_g weighs (2 + 2/h)(1 - g), and
-:func:`anrec.genus0._weight_allows` tells whether some d input variables
-can make up the weight a degree-d slice needs.
+of grades and degrees: each configuration is found once and closed at every
+(grade, degree) in range that its blocks reach.  A constraint residual walks
+each label set once, over walk units listed once per solver.  A W-slice
+group (g, dirs) keeps its walk: a slice asked at a higher degree extends it
+only over configurations with more input variables, if a unit can carry
+more.  The walk is one pass from slot options to records: every option is a
+row (slack, is an input, tag), built once per solver, whose tag packs the
+eta exponent, sign, derivative mode and input monomial into one int, so a
+configuration is a sum of rows and a count.  The last two slots of a unit
+form one table bucketed by slack mod h and input count.  Only
+configurations that can contribute are kept: every derivative mode gets a
+level >= 0 from the exponent budget, and one without derivative modes
+closes on the spot (no pending direction, a grade and degree in range, the
+exponent target hit exactly).  Records group them by shape (#derivative
+modes, #pending directions, #pairs, #inputs), derivative modes, level total
+and pending directions, with input monomials summed per scalar and sign.  A
+degree-d slice closes each record whose shape has a block plan at degree
+d - #inputs; the level and block splits are built once per shape
+(:func:`_level_vectors`, :func:`_block_plans`), and
+:func:`anrec.series.weighted_sum` multiplies each W-slice product, int level
+factor and scalar in its one sum.  At m_in >= 1 the input x_{1,N} weighs
+zero, so closing (g, dirs, d) reads (g, dirs, d') of its own group, always
+at d' < d, and may fill it mid-iteration: a fill never changes a record map
+handed out before.  A W-slice that weighted homogeneity forces to zero is
+never expanded: with x_{m,a} of weight (a+1)/h - m, every monomial of F_g
+weighs (2 + 2/h)(1 - g), and :func:`anrec.genus0._weight_allows` tells
+whether d input variables can make up a degree-d slice's weight.
 
 Field slots are the vanishing-cycle labels 1..h; two of them contract to
 the propagator eta^(i+j)/(eta^i - eta^j)^2 in the lambda^(-2) slot.
@@ -59,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from itertools import product as iproduct
 
 from .exactnum import CycScalar
@@ -74,7 +70,18 @@ from .genus0 import (
     norm_factor,
 )
 from .rootsys import RootData, divided_difference, subset_product
-from .series import SparsePoly, Var, weighted_sum
+from .series import SparsePoly, Var, _mono_key, _poly, weighted_sum
+
+
+# A walk row's tag packs, from the low bits up: the option's eta exponent mod
+# h and a 1 for the sign -1 of the dilaton insertion (16-bit fields whose
+# sums stay below h^2; the second's parity is the sign), (1 << 8b) + 1 for a
+# derivative mode of flat index b (byte 0 counts modes), and the packed input
+# key.  A unit has at most h slots, so no field overflows while h <= 255; a
+# larger h is out of reach, as listing its units enumerates every pair set.
+_SIGN_SHIFT = 16
+_MODE_SHIFT = 32
+_FIELD = (1 << _SIGN_SHIFT) - 1
 
 
 class ConsistencyError(RuntimeError):
@@ -98,17 +105,18 @@ def propagator(rd: RootData, i: int, j: int) -> CycScalar:
     return (base * base).rotate(d)
 
 
-def _pair_sets(items: tuple) -> list[tuple]:
-    """All sets of disjoint unordered pairs drawn from ``items``."""
+@lru_cache(maxsize=None)
+def _pair_sets(items: tuple) -> tuple[tuple, ...]:
+    """All sets of disjoint unordered pairs drawn from ``items``, memoised."""
     if len(items) < 2:
-        return [()]
+        return ((),)
     first, rest = items[0], items[1:]
     out = list(_pair_sets(rest))  # first stays unpaired
     for k, other in enumerate(rest):
         sub = rest[:k] + rest[k + 1:]
         for tail in _pair_sets(sub):
             out.append(((first, other),) + tail)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +151,18 @@ def _w_min_degree(g: int, size: int) -> int:
     if g == 0 and size == 2:
         return 1
     return 0
+
+
+@lru_cache(maxsize=None)
+def _mode_indices(modes: int, N: int) -> tuple[int, ...]:
+    """The sorted flat indices b of the derivative modes that byte b of ``modes`` counts."""
+    return tuple(b for b in range(1, N + 1) for _ in range(modes >> 8 * b & 255))
+
+
+@lru_cache(maxsize=None)
+def _fits(lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+    """Entry n: the input counts x of a walk's tail, 0 to 2, with lo <= n + x <= hi."""
+    return tuple(tuple(x for x in (0, 1, 2) if lo <= n + x <= hi) for n in range(hi + 1))
 
 
 @lru_cache(maxsize=None)
@@ -188,12 +208,15 @@ class DescendantSolver:
         self.rd = rd
         self.m_in = m_in
         self._w: dict[tuple, SparsePoly] = {}
-        # (g, dirs) -> (input count walked, records, walk units): see _group_records
-        self._groups: dict[tuple, tuple[int, dict, list]] = {}
+        # (g, dirs) -> (inputs walked, records, units, most inputs of a unit)
+        self._groups: dict[tuple, tuple[int, dict, list, int]] = {}
         self._stack: set[tuple] = set()
         self._prop: dict[tuple[int, int], CycScalar] = {}
         self._kernel: dict[tuple[tuple[int, ...], int], CycScalar] = {}
-        self._choices: dict[tuple, tuple[tuple, ...]] = {}
+        self._rows: dict[tuple, tuple[tuple[int, int, int], ...]] = {}
+        self._tails: dict[tuple, tuple[dict, ...]] = {}
+        self._cluster_units: dict[tuple, list] = {}
+        self._key_shift = _MODE_SHIFT + 8 * (rd.N + 1)  # above the mode bytes 0..N
 
     # -- scalar caches -------------------------------------------------------
 
@@ -201,8 +224,7 @@ class DescendantSolver:
         key = (min(i, j), max(i, j))
         got = self._prop.get(key)
         if got is None:
-            got = propagator(self.rd, key[0], key[1])
-            self._prop[key] = got
+            got = self._prop[key] = propagator(self.rd, *key)
         return got
 
     def _kernel_scalar(self, labels: tuple[int, ...], a: int) -> CycScalar:
@@ -248,22 +270,21 @@ class DescendantSolver:
         rd = self.rd
         h = rd.h
         m, a = dirs[0]
-        parts = ((scalar, factor, poly) for _, scalar, factor, poly in self._close(
+        parts = (part[1:] for part in self._close(
             self._group_records(g, dirs, d), (g, g), (d, d)))
         return weighted_sum(rd.ctx, parts).scale(Fraction(-1, h * norm_factor(h, m, a)))
 
     def _group_records(self, g: int, dirs: tuple[Var, ...], d: int) -> dict:
-        """The :meth:`_records` of the W-slice group (g, dirs), walked to d input variables.
+        """The :meth:`_walk` records of the W-slice group (g, dirs), walked to d input variables.
 
-        The first request lists the group's walk units (label sets, pair
-        sets and placements of the other directions) and walks them up to d
-        input variables; a later one at a higher degree walks the same units
-        again over the configurations with more input variables than walked
-        before.  Their records have new shapes only (n grows) and go into a
-        new dict: a record map handed out earlier never changes under a
-        closing that iterates it.
+        The first request lists the group's walk units and walks them up to
+        d input variables; a later one at a higher degree walks them again
+        over the configurations with more input variables than walked
+        before, unless no unit can carry more.  Their records have new
+        shapes only (n grows) and go into a new dict, so a record map handed
+        out earlier never changes under a closing that iterates it.
         """
-        walked, records, units = self._groups.get((g, dirs), (-1, {}, None))
+        walked, records, units, most = self._groups.get((g, dirs), (-1, {}, None, 0))
         if walked >= d:
             return records
         if units is None:
@@ -273,12 +294,14 @@ class DescendantSolver:
             for size in range(2, h + 1):
                 q_target = -h - (h * (m + 1) - (a + size - 1))
                 for labels in combinations(range(1, h + 1), size):
-                    ks = self._kernel_scalar(labels, a)
-                    if not ks.is_zero():
-                        units.extend(self._units(labels, q_target, g, dirs[1:], False, ks))
-        inputs = (walked + 1, d)
-        records = {**records, **self._records(self._walk(units, (g, g), inputs, inputs[0]))}
-        self._groups[(g, dirs)] = (d, records, units)
+                    if not (ks := self._kernel_scalar(labels, a)).is_zero():
+                        units += [(q_target, unit)
+                                  for unit in self._units(labels, g, dirs[1:], False, ks)]
+            most = max((room[0] for _, (*_, room, _, _) in units), default=0)
+        if walked < most:
+            inputs = (walked + 1, d)
+            records = {**records, **self._walk(units, (g, g), inputs, inputs[0])}
+        self._groups[(g, dirs)] = (d, records, units, most)
         return records
 
     # -- the cluster expansion ---------------------------------------------------
@@ -286,36 +309,38 @@ class DescendantSolver:
     def _cluster(self, slots: tuple[int, ...], grades: tuple[int, int],
                  externals: tuple[Var, ...], q_target: int, degrees: tuple[int, int],
                  shift: bool, scalar: CycScalar):
-        """Yield (grade, scalar, factor, poly) for the configurations of one label set.
+        """Yield (grade, scalar, factor, poly, blocks) for the configurations of one label set.
 
         Grades and degrees run over the inclusive ranges ``grades`` and
-        ``degrees``; each part is scalar * factor * poly, with ``factor`` an
-        int and ``poly`` rational.  One :meth:`_walk` serves the whole range:
-        a configuration is found once, and :meth:`_close` closes its record
-        at each (grade, degree) its blocks can reach.  The arguments are
-        those of :meth:`_units`.
+        ``degrees``, all in one :meth:`_walk` whose records :meth:`_close`
+        closes; the other arguments are those of :meth:`_units`.
         """
-        units = self._units(slots, q_target, grades[1], externals, shift, scalar)
-        records = self._records(self._walk(units, grades, (0, degrees[1]), degrees[0]))
+        units = self._units(slots, grades[1], externals, shift, scalar)
+        records = self._walk([(q_target, unit) for unit in units], grades,
+                             (0, degrees[1]), degrees[0])
         return self._close(records, grades, degrees)
 
-    def _units(self, slots: tuple[int, ...], q_target: int, max_pairs: int,
-               externals: tuple[Var, ...], shift: bool, scalar: CycScalar):
-        """Yield (q_target, p, pool, choice_lists, scalar, rotated) per walk unit of ``slots``.
+    def _units(self, slots: tuple[int, ...], max_pairs: int, externals: tuple[Var, ...],
+               shift: bool, scalar: CycScalar) -> list[tuple]:
+        """The walk units (p, pool, rows, tail, reach, room, scalar, rotated) of ``slots``.
 
         A unit is a set of p <= ``max_pairs`` disjoint slot pairs and a
-        placement of the pending derivative directions ``externals``: each
-        lands either on an input mode of one unpaired slot, fixing that
-        slot's option, or in ``pool``, inside one derivative block.
-        ``choice_lists`` are the options of the unpaired slots, ``scalar``
-        is the given one times the pairs' propagators, and ``rotated`` caches
-        its eta-rotations, shared by the units of one pair set.
-
-        ``slots`` are distinct labels, so no pair of them contracts to zero.
-        ``q_target`` is the exponent the configurations of ``slots`` must
-        reach, passed on to :meth:`_walk`.  ``shift`` enables the constant
-        insertion that realises the dilaton shift of the level-one top slot.
+        placement of the pending directions ``externals``, each on an input
+        mode of one unpaired slot (fixing its option) or in ``pool``, inside
+        a derivative block.  ``rows`` are the :meth:`_slot_rows` of the
+        unpaired slots, ``tail`` the :meth:`_tail` of the last two, reach[i]
+        and room[i] the largest slack and most inputs slots i.. can add,
+        ``scalar`` the given one times the pairs' propagators, and
+        ``rotated`` its eta-rotations, per pair set.  ``slots`` are distinct
+        labels; ``shift`` adds the insertion that realises the dilaton shift.
+        The list is memoised per solver and serves every ``q_target``: W-slice
+        groups whose first directions differ only in m share it.
         """
+        key = (slots, max_pairs, externals, shift, scalar)
+        units = self._cluster_units.get(key)
+        if units is not None:
+            return units
+        units = self._cluster_units[key] = []
         positions = tuple(range(len(slots)))
         for pairs in _pair_sets(positions):
             p = len(pairs)
@@ -331,209 +356,184 @@ class DescendantSolver:
             for assign in iproduct(range(u + 1), repeat=len(externals)):
                 slot_ext: list[Var | None] = [None] * u
                 pool: list[Var] = []
-                ok = True
                 for v, target in zip(externals, assign):
                     if target == u:
                         pool.append(v)
                     elif slot_ext[target] is None:
                         slot_ext[target] = v
                     else:
-                        ok = False  # twice on one variable factor: zero
-                        break
-                if not ok:
-                    continue
-                choice_lists = [self._slot_choices(slots[i], slot_ext[k], shift)
-                                for k, i in enumerate(rest)]
-                if all(choice_lists):
-                    yield q_target, p, tuple(pool), choice_lists, pair_scalar, rotated
+                        break  # twice on one variable factor: zero
+                else:
+                    keys = [(slots[i], slot_ext[k], shift) for k, i in enumerate(rest)]
+                    rows = [self._slot_rows(*key) for key in keys]
+                    reach = [*accumulate((r[0][0] for r in rows[::-1]), initial=0)][::-1]
+                    room = [*accumulate((e is None for e in slot_ext[::-1]), initial=0)][::-1]
+                    units.append((p, tuple(pool), rows, self._tail(tuple(keys[-2:])),
+                                  reach, room, pair_scalar, rotated))
+        return units
 
-    def _walk(self, units, grades: tuple[int, int], inputs: tuple[int, int], floor: int):
-        """Yield every configuration of ``units`` with an input count in ``inputs`` that can close.
+    def _slot_rows(self, l: int, ext: Var | None, shift: bool) -> tuple[tuple[int, int, int], ...]:
+        """The walk rows of one unpaired slot of label l, largest slack first, memoised.
 
-        ``units`` are :meth:`_units` tuples.
-        Each configuration is (p, pool, n, dslots, total_lv, scalar, sign,
-        xs): its pair count, the pending directions left to the blocks, its
-        input count, the sorted flat indices b of its derivative modes, the
-        sum of their level + 1, its scalar (the unit's times eta^k_sum, one
-        object per pair set and k mod h), sign and sorted input variables.  A
-        configuration without derivative modes closes on the spot, at grade
-        p and degree n, so it is found only if it carries no pending
-        direction, p is a grade in range and n is at least ``floor``.  Plans
-        are left to the caller, which knows the (grade, degree) it closes at.
-        """
-        g_lo = grades[0]
-        h = self.rd.h
-        for q_target, p, pool, choice_lists, pair_scalar, rotated in units:
-            q_pairs = -2 * h * p
-            # a derivative-free closure has grade p, so it needs p in range
-            # and no pending direction; otherwise no input count admits one
-            least = floor if not pool and p >= g_lo else inputs[1] + 1
-            for combo in self._slot_combos(choice_lists, inputs, q_target - q_pairs, least):
-                config = self._configuration(combo, q_pairs, q_target, inputs, least)
-                if config is None:
-                    continue
-                n, dslots, total_lv, k, sign, xs = config
-                got = rotated.get(k)
-                if got is None:
-                    got = rotated[k] = pair_scalar.rotate(k)
-                yield p, pool, n, dslots, total_lv, got, sign, xs
-
-    def _slot_combos(self, choice_lists: list[tuple[tuple, ...]], inputs: tuple[int, int],
-                     q_residue: int, floor: int):
-        """The slot-choice product, pruned to what :meth:`_configuration` keeps.
-
-        Each option has the slack dq - h*[kind == 'd']; a configuration
-        survives only if its slacks sum to at least ``q_residue`` (leaving
-        every derivative mode a level >= 0) and to ``q_residue`` mod h, and
-        if its input count lies in the inclusive range ``inputs``.  One
-        without derivative modes closes no block, so it survives only when
-        its slacks sum to ``q_residue`` exactly and it carries at least
-        ``floor`` input variables (a floor above the range admits none).
-        A branch is dropped once it carries more input variables than the
-        range allows, once the slots left cannot bring it up to the least
-        count, or once the largest slack the remaining slots can add cannot
-        reach ``q_residue``; the last slot keeps only the options that close
-        the gap, mod h and in size, and that meet the rules above.  Every
-        configuration the full product adds beyond these fails the same
-        checks in :meth:`_configuration`.
-        """
-        h = self.rd.h
-        lo, hi = inputs
-        if not choice_lists:
-            # all slots paired: the pairs alone must close the configuration
-            if q_residue == 0 and max(lo, floor) <= 0:
-                yield ()
-            return
-        # per option: (option, slack, is an input, is a derivative mode)
-        rows = [[(opt, opt[3] - h * (opt[0] == "d"), opt[0] == "x", opt[0] == "d")
-                 for opt in opts] for opts in choice_lists]
-        # reach[i]: the largest slack slots i.. can still add; room[i]: the
-        # most input variables they can still add
-        reach = [0] * (len(rows) + 1)
-        room = [0] * (len(rows) + 1)
-        for i in range(len(rows) - 1, -1, -1):
-            reach[i] = reach[i + 1] + max(row[1] for row in rows[i])
-            room[i] = room[i + 1] + any(row[2] for row in rows[i])
-        *head, last = rows
-        by_residue: dict[int, list[tuple]] = {}
-        for row in last:
-            by_residue.setdefault(row[1] % h, []).append(row)
-
-        def walk(i: int, s: int, n: int, has_d: bool, prefix: tuple):
-            if i == len(head):
-                for opt, sl, x, d in by_residue.get((q_residue - s) % h, ()):
-                    if lo <= n + x <= hi and s + sl >= q_residue and (
-                            has_d or d or (s + sl == q_residue and n + x >= floor)):
-                        yield prefix + (opt,)
-                return
-            ahead, more = reach[i + 1], room[i + 1]
-            for opt, sl, x, d in head[i]:
-                if lo <= n + x + more and n + x <= hi and s + sl + ahead >= q_residue:
-                    yield from walk(i + 1, s + sl, n + x, has_d or d, prefix + (opt,))
-
-        yield from walk(0, 0, 0, False, ())
-
-    def _slot_choices(self, l: int, ext: Var | None, shift: bool) -> tuple[tuple, ...]:
-        """Mode options for one unpaired slot of label l, memoised.
-
-        Each option is (kind, sign, k, q, payload) with slot weight
-        sign * eta^k: kind 'x' carries an input variable, 'c' a constant
-        factor (a consumed external or the dilaton insertion), 'd' a
-        derivative mode whose level is fixed later by the exponent budget.
+        An option of slot weight sign * eta^k and lambda-exponent dq is an
+        input variable, a constant factor (a consumed external or the
+        dilaton insertion) or a derivative mode of flat index b, whose level
+        the exponent budget fixes later.  Its row is (slack, is an input,
+        tag): the slack is dq, less h for a derivative mode, and the tag
+        packs the rest (see ``_SIGN_SHIFT``).
         """
         key = (l, ext, shift)
-        got = self._choices.get(key)
+        got = self._rows.get(key)
         if got is not None:
             return got
         rd = self.rd
-        out: list[tuple] = []
+        h = rd.h
+        opts: list[tuple] = []  # (slack, is an input, sign, k, input key, mode index)
         if ext is not None:
-            out.append(("c", 1, -l * ext.a, ext.m * rd.h - ext.a, None))
+            opts.append((ext.m * h - ext.a, 0, 1, -l * ext.a, 0, 0))
         else:
             for b in range(1, rd.N + 1):
                 for k in range(self.m_in + 1):
-                    out.append(("x", 1, -l * b, k * rd.h - b, Var(k, b)))
-                out.append(("d", 1, -l * b, -b, b))
+                    opts.append((k * h - b, 1, 1, -l * b, _mono_key((Var(k, b),)), 0))
+                opts.append((-b - h, 0, 1, -l * b, 0, b))
             if shift:
-                out.append(("c", -1, -l * rd.N, 1, None))
-        got = self._choices[key] = tuple(out)
+                opts.append((1, 0, -1, -l * rd.N, 0, 0))
+        got = self._rows[key] = tuple(sorted(
+            ((slack, x, k % h + ((sign < 0) << _SIGN_SHIFT)
+              + ((b and (1 << 8 * b) + 1) << _MODE_SHIFT) + (mono << self._key_shift))
+             for slack, x, sign, k, mono, b in opts), reverse=True))
         return got
 
-    def _configuration(self, combo, q_pairs: int, q_target: int,
-                       inputs: tuple[int, int], floor: int):
-        """(n, dslots, total_lv, k, sign, xs) for one slot combination, or None.
+    def _tail(self, keys: tuple[tuple, ...]) -> tuple[dict, ...]:
+        """The joint rows of the last two slots (or fewer) of a walk, memoised per slot keys.
 
-        The signs, the eta exponent k (mod h), the sorted input variables xs
-        and their count n, the derivative modes and the exponent check are formed
-        here, before any field arithmetic.  A combination is dropped unless n
-        lies in ``inputs`` and the exponent budget either leaves every
-        derivative mode a level >= 0, with total_lv the sum of level + 1,
-        or, without derivative modes, is met exactly by at least ``floor``
-        input variables.
+        Entry x maps a slack residue mod h to the (slack sum, tag sum) of
+        each choice of one row per slot with x input variables, largest
+        slack first.
         """
-        h = self.rd.h
-        sign = 1
-        k_sum = 0
-        q = q_pairs
-        xs: list[Var] = []
-        dslots: list[int] = []  # flat indices b of derivative modes
-        for kind, s, k, dq, payload in combo:
-            sign *= s
-            k_sum += k
-            q += dq
-            if kind == "x":
-                xs.append(payload)
-            elif kind == "d":
-                dslots.append(payload)
-        n = len(xs)
-        span = q - q_target
-        lo, hi = inputs
-        if not lo <= n <= hi or span % h:
-            return None
-        if dslots:
-            if span < len(dslots) * h:
-                return None
-        elif span or n < floor:
-            return None
-        return n, tuple(sorted(dslots)), span // h, k_sum % h, sign, tuple(sorted(xs))
+        got = self._tails.get(keys)
+        if got is None:
+            joint = [(0, 0, 0)]
+            for key in keys:
+                joint = sorted(((s1 + s2, x1 + x2, t1 + t2) for s1, x1, t1 in joint
+                                for s2, x2, t2 in self._slot_rows(*key)), reverse=True)
+            got = self._tails[keys] = ({}, {}, {})
+            for slack, x, tag in joint:
+                got[x].setdefault(slack % self.rd.h, []).append((slack, tag))
+        return got
 
-    @staticmethod
-    def _records(configurations) -> dict:
-        """Configurations from :meth:`_walk` grouped into records for :meth:`_close`.
+    def _walk(self, units, grades: tuple[int, int], inputs: tuple[int, int], floor: int) -> dict:
+        """Records of every configuration of ``units`` with n in ``inputs`` that can close.
 
-        The records map a shape (u_d, n_pool, p, n) to entries (dslots,
-        total_lv, pool, terms), one per set of derivative modes, level total
-        and pool, whose terms (scalar, sign, inputs) sum the input monomials
-        of its configurations per scalar and sign.  A configuration without
-        derivative modes has the shape (0, 0, p, n).  The configurations of
-        one entry close alike, since the sum over level vectors and plans
-        does not depend on the order of the derivative modes.
+        ``units`` are (q_target, :meth:`_units` tuple) pairs.  Records map a
+        shape (u_d, n_pool, p, n) to {(dslots, total_lv, pool): {(scalar,
+        sign): inputs}}: the pair count, pending directions and input count,
+        the sorted flat indices b of the u_d derivative modes, the sum of
+        their level + 1, the unit's scalar times eta^k_sum (one object per
+        pair set and k mod h), the sign, and the sum of input monomials.  A
+        configuration without derivative modes closes at grade p and degree
+        n, so it is kept only with no pending direction, p a grade in range
+        and n >= ``floor``.
         """
+        h, key_shift = self.rd.h, self._key_shift
+        term_mask = (1 << (key_shift + 8)) - 1  # all but the input variables' own bytes
+        mode_mask = (1 << (key_shift - _MODE_SHIFT)) - 1
         found: dict[tuple, dict] = {}
-        for p, pool, n, dslots, total_lv, scalar, sign, xs in configurations:
-            entry = found.setdefault((len(dslots), len(pool), p, n), {}) \
-                .setdefault((dslots, total_lv, pool), {}) \
-                .setdefault((scalar, sign), {})
-            entry[xs] = entry.get(xs, 0) + 1
-        return {shape: [(dslots, total_lv, pool,
-                         tuple((scalar, sign, SparsePoly.monomial_sum(monos))
-                               for (scalar, sign), monos in terms.items()))
-                        for (dslots, total_lv, pool), terms in entries.items()]
-                for shape, entries in found.items()}
+        for q_target, (p, pool, rows, tail, reach, room, pair_scalar, rotated) in units:
+            q_residue = q_target + 2 * h * p  # what the slots must add to the pairs' -2hp
+            least = floor if not pool and p >= grades[0] else inputs[1] + 1
+            cells: dict[tuple[int, int], dict] = {}  # the input sums of one record term
+            for (tag, slack), count in self._leaves(rows, tail, reach, room, q_residue,
+                                                    inputs, least).items():
+                mono = tag >> key_shift
+                monos = cells.get((tag & term_mask, slack))
+                if monos is None:
+                    dslots = _mode_indices(tag >> _MODE_SHIFT & mode_mask, self.rd.N)
+                    k = (tag & _FIELD) % h
+                    scalar = rotated.get(k)
+                    if scalar is None:
+                        scalar = rotated[k] = pair_scalar.rotate(k)
+                    u_d = len(dslots)
+                    monos = cells[(tag & term_mask, slack)] = found.setdefault(
+                        (u_d, len(pool), p, mono & 255), {}).setdefault(
+                        (dslots, (slack - q_residue) // h + u_d, pool), {}).setdefault(
+                        (scalar, -1 if tag >> _SIGN_SHIFT & 1 else 1), {})
+                monos[mono] = monos.get(mono, 0) + count
+        for entries in found.values():
+            for terms in entries.values():
+                for term, monos in terms.items():
+                    terms[term] = _poly(monos)
+        return found
+
+    def _leaves(self, rows: list[tuple], tail: tuple[dict, ...], reach: list[int],
+                room: list[int], q_residue: int, inputs: tuple[int, int],
+                least: int) -> dict[tuple[int, int], int]:
+        """{(tag sum, slack sum): count} over the kept configurations of one unit.
+
+        A configuration picks one row per slot of ``rows``.  It is kept if
+        its input count lies in the inclusive range ``inputs`` and its
+        slacks sum to ``q_residue`` mod h and to at least ``q_residue``
+        (every derivative mode a level >= 0); without derivative modes, to
+        ``q_residue`` exactly, with at least ``least`` input variables.  A
+        branch stops once it has too many inputs, or the slots left cannot
+        add enough inputs (``room``) or slack (``reach``).  The last two
+        slots are read from ``tail`` where a choice closes the gap mod h and
+        keeps n in range, down to the first choice too small to close it.
+        """
+        lo, hi = inputs
+        leaves: dict[tuple[int, int], int] = {}
+        if reach[0] < q_residue or room[0] < lo:
+            return leaves
+        h = self.rd.h
+        # head[j] is slot j - 1, after a slot whose single row adds nothing,
+        # so that reach[j] and room[j] bound the slots after head[j]
+        head = [((0, 0, 0),), *rows[:-2]]
+        inner = len(head) - 1
+        has_modes = 255 << _MODE_SHIFT
+        fits = _fits(lo, hi)
+
+        def walk(j: int, s: int, n: int, tag: int) -> None:
+            ahead, more = reach[j], room[j]
+            if j < inner:
+                for sl, x, t in head[j]:
+                    if s + sl + ahead < q_residue:
+                        break
+                    if n + x <= hi and lo <= n + x + more:
+                        walk(j + 1, s + sl, n + x, tag + t)
+                return
+            for sl, x, t in head[j]:
+                s_mid = s + sl
+                if s_mid + ahead < q_residue:
+                    break
+                n_mid = n + x
+                if n_mid > hi or n_mid + more < lo:
+                    continue
+                t_mid = tag + t
+                for x in fits[n_mid]:
+                    for sl, t in tail[x].get((q_residue - s_mid) % h, ()):
+                        s_end = s_mid + sl
+                        if s_end < q_residue:
+                            break
+                        t += t_mid
+                        if t & has_modes or (s_end == q_residue and n_mid + x >= least):
+                            leaf = (t, s_end)
+                            leaves[leaf] = leaves.get(leaf, 0) + 1
+
+        walk(0, 0, 0, 0)
+        return leaves
 
     def _close(self, records: dict, grades: tuple[int, int], degrees: tuple[int, int]):
-        """Yield (grade, scalar, factor, poly) for every closing of ``records``.
+        """Yield (grade, scalar, factor, poly, blocks) for every closing of ``records``.
 
         A record of shape (u_d, n_pool, p, n) closes at every (g, d) in the
         inclusive ranges with a nonempty :func:`_block_plans` (u_d, n_pool,
-        g - p, d - n); one without derivative modes has the single empty
-        level vector and plan at g = p and d = n, which close it as its
-        inputs alone.  The levels come from :func:`_level_vectors`.  Each
-        level vector and plan looks up its W-slices once, and a product of
-        them that is not zero is multiplied by the inputs of every term.
-        The level factor sign * prod (b + k*h) stays an int beside the
-        scalar.  ``records`` is read as it is, so a fill that the W-slice
-        lookups start may extend a walk but never changes what is iterated.
+        g - p, d - n); one without derivative modes only at g = p and d = n,
+        as its inputs alone (``blocks`` None).  Each level vector and plan
+        looks up its W-slices once, and a product of them that is not zero
+        is handed on beside the inputs of every term, with the level factor
+        sign * prod (b + k*h) an int beside the scalar.  ``records`` is read
+        as it is, so a fill that the lookups start never changes what is
+        iterated.
         """
         g_lo, g_hi = grades
         d_lo, d_hi = degrees
@@ -547,7 +547,7 @@ class DescendantSolver:
                         closures.append((g, plans))
             if not closures:
                 continue
-            for dslots, total_lv, pool, terms in entries:
+            for (dslots, total_lv, pool), terms in entries.items():
                 for levels in _level_vectors(total_lv, u_d):
                     factor = 1
                     dirs: list[Var] = []
@@ -567,9 +567,8 @@ class DescendantSolver:
                                     break
                                 blocks = w if blocks is None else blocks * w
                             else:
-                                for scalar, sign, poly in terms:
-                                    yield (g, scalar, sign * factor,
-                                           poly if blocks is None else poly * blocks)
+                                for (scalar, sign), poly in terms.items():
+                                    yield g, scalar, sign * factor, poly, blocks
 
     # -- exposed evaluations ------------------------------------------------------
 
@@ -596,9 +595,9 @@ class DescendantSolver:
         q_target = -h - m * h
         parts: dict[int, list] = {g: [] for g in range(genus_cap + 1)}
         for labels in combinations(range(1, h + 1), r):
-            for g, scalar, factor, poly in self._cluster(
+            for part in self._cluster(
                     labels, (0, genus_cap), (), q_target, (0, cap), True, rd.ctx.one):
-                parts[g].append((scalar, factor, poly))
+                parts[part[0]].append(part[1:])
         return {g: weighted_sum(rd.ctx, grade_parts) for g, grade_parts in parts.items()}
 
     def perturb(self, g: int, dirs: tuple[Var, ...], d: int,

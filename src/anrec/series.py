@@ -186,15 +186,6 @@ class SparsePoly:
         return _poly({_mono_key(tuple(vs)): 1})
 
     @staticmethod
-    def monomial_sum(counts: Mapping[tuple[Var, ...], int]) -> "SparsePoly":
-        """The sum of count * (product of the variables) over the items of ``counts``.
-
-        Keys are variable tuples as :meth:`monomial` takes them; two keys with
-        the same variables in another order name the same monomial.
-        """
-        return _poly(_accumulate({}, ((_mono_key(vs), c) for vs, c in counts.items()), not_))
-
-    @staticmethod
     def from_terms(items: Iterable[tuple[Mono, Rat]]) -> "SparsePoly":
         terms = _accumulate({}, ((_pack(m), c) for m, c in items), not_)
         den = math.lcm(*(c.denominator for c in terms.values()))
@@ -328,28 +319,42 @@ class SparsePoly:
         return SparsePoly.from_terms(items)
 
 
-def weighted_sum(ctx: CycContext,
-                 parts: Iterable[tuple[CycScalar, int, SparsePoly]]) -> SparsePoly:
-    """The rational polynomial sum of scalar * factor * poly over the triples ``parts``.
+def weighted_sum(ctx: CycContext, parts: Iterable[tuple]) -> SparsePoly:
+    """The rational polynomial sum of scalar * factor * poly [* blocks] over ``parts``.
 
-    Each triple is a Q(eta) scalar, an ``int`` factor and a rational
-    polynomial; the factor multiplies the scalar's integer numerators, so
-    no field product is formed per part.  Integer numerators are summed per
-    (monomial, eta-power) key, grouped by the denominator
-    ``scalar.den * poly.den``, and the groups meet over one lcm.  Every
-    eta-part must cancel: a monomial whose coefficient keeps one raises
-    :class:`NotRationalError` with that coefficient.
+    Each part is a Q(eta) scalar, an ``int`` factor and a rational
+    polynomial, optionally followed by a second polynomial ``blocks`` (or
+    ``None``) that multiplies it.  The factor multiplies the scalar's integer
+    numerators, so no field product is formed per part, and ``poly * blocks``
+    is never formed either: the scalar row is folded into the monomials of
+    ``poly`` and each monomial of ``blocks`` adds that row into the sum.  A
+    product whose degree would pass ``MAX_DEGREE`` raises ``OverflowError``,
+    as ``poly * blocks`` does.  Integer numerators are summed per (monomial,
+    eta-power) key, grouped by the part's denominator, and the groups meet
+    over one lcm.  Every eta-part must cancel: a monomial whose coefficient
+    keeps one raises :class:`NotRationalError` with that coefficient.
     """
     d = ctx.deg
     groups: dict[int, dict[int, int]] = {}
-    for s, f, poly in parts:
+    for s, f, poly, *rest in parts:
         if s.ctx is not ctx:
             raise ContextMismatchError(f"mixed cyclotomic contexts h={ctx.h} and h={s.ctx.h}")
-        acc = groups.get(s.den * poly.den)
-        if acc is None:
-            acc = groups[s.den * poly.den] = {}
+        blocks = rest[0] if rest else None
+        den = s.den * poly.den
         row = [(i, x * f) for i, x in enumerate(s.num) if x]
-        _accumulate(acc, ((k * d + i, c * x) for k, c in poly.num.items() for i, x in row), not_)
+        items = [(k * d + i, c * x) for k, c in poly.num.items() for i, x in row]
+        if blocks is not None:
+            if poly.num and blocks.num:
+                top = max(k & 255 for k in poly.num) + max(k & 255 for k in blocks.num)
+                if top > MAX_DEGREE:
+                    raise _degree_error(top)
+            den *= blocks.den
+            folded = items  # the scalar row times each monomial of poly
+            items = ((k * d + j, c * y) for k, c in blocks.num.items() for j, y in folded)
+        acc = groups.get(den)
+        if acc is None:
+            acc = groups[den] = {}
+        _accumulate(acc, items, not_)
     den = math.lcm(*groups)
     total: dict[int, int] = {}
     for gden, acc in groups.items():

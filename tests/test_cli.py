@@ -416,6 +416,26 @@ def test_cli_exit_codes_across_a_process_boundary():
         assert proc.stdout == "", argv
 
 
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # main builds its parser on the first call and reuses it: a usage error,
+    # a potential, a verify and --help made in this one process print the
+    # bytes and exit codes of separate fresh processes
+    import anrec.cli
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    calls = [("potential", "--n", "2", "--degree", "nine"),
+             ("potential", "--n", "2", "--genus", "1", "--degree", "4", "--m-in", "1",
+              "--format", "json"),
+             ("verify", "wconstraint", "--n", "2", "--degree", "4", "--genus", "1",
+              "--cap", "2", "--m-max", "1", "--format", "json"),
+             ("--help",)]
+    got = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in got] == [2, 0, 0, 0]
+    assert anrec.cli._parser.cache_info().misses == 1
+    for argv, (code, out, err) in zip(calls, got):
+        proc = _cli_process(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+
+
 @pytest.mark.parametrize("argv", [
     # 804 bytes: still in the stdout buffer, so the flush meets the closed pipe
     ("verify", "symstate", "--h", "4", "--format", "json"),

@@ -1,5 +1,7 @@
 """Higher-genus engine: propagators, pairings, correlators, residuals."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -11,6 +13,8 @@ from kdv_oracle import free_energy_coefficient, psi_correlator
 
 from anrec.genus0 import Profile, norm_factor, solve
 from anrec.recursion import (
+    _MODE_SHIFT,
+    _SIGN_SHIFT,
     DescendantSolver,
     _block_plans,
     _level_vectors,
@@ -22,7 +26,7 @@ from anrec.recursion import (
     w_residual,
 )
 from anrec.rootsys import RootData
-from anrec.series import SparsePoly, Var, weighted_sum
+from anrec.series import SparsePoly, Var, _unpack, weighted_sum
 
 
 def x(m, a):
@@ -272,60 +276,136 @@ def test_negative_genus_cap_rejected():
         solve_recursion(RootData(2), -1, 5)
 
 
-# -- pruned cluster enumeration ------------------------------------------------------
+# -- the fused cluster walk ------------------------------------------------------
 
-def _full_product(self, choice_lists, inputs, q_residue, floor):
-    return iproduct(*choice_lists)
+_SEEN = Counter()  # what the reference walk examined
+
+
+def _reference_walk(self, units, grades, inputs, floor):
+    # the records of the full product of each unit's slot rows, with the
+    # definition of a kept configuration applied at the leaf: the exponent
+    # budget span = q - q_target is a multiple of h that leaves every
+    # derivative mode a level >= 0, and one without derivative modes closes
+    # on the spot (span 0, no pending direction, its pair count a grade in
+    # range, at least `floor` inputs); the input count lies in `inputs`
+    h, N = self.rd.h, self.rd.N
+    lo, hi = inputs
+    found = {}
+    for q_target, (p, pool, rows, _, _, _, scalar, _) in units:
+        for combo in iproduct(*rows):
+            slack = sum(row[0] for row in combo)
+            n = sum(row[1] for row in combo)
+            tag = sum(row[2] for row in combo)
+            dslots = tuple(b for b in range(1, N + 1)
+                           for _ in range((tag >> (_MODE_SHIFT + 8 * b)) % 256))
+            span = slack + h * len(dslots) - 2 * h * p - q_target
+            if dslots:
+                kept = span >= h * len(dslots)
+            else:
+                kept = span == 0 and not pool and p >= grades[0] and n >= floor
+            kept = kept and lo <= n <= hi and span % h == 0
+            _SEEN["examined"] += 1
+            _SEEN["short"] += span < h * len(dslots)
+            _SEEN["derivative-free rejected"] += not dslots and not kept
+            if kept:
+                sign = (-1) ** ((tag >> _SIGN_SHIFT) % (1 << 16))
+                term = (scalar.rotate(tag % (1 << 16)), sign)
+                monos = found.setdefault((len(dslots), len(pool), p, n), {}).setdefault(
+                    (dslots, span // h, pool), {}).setdefault(term, Counter())
+                monos[_unpack(tag >> self._key_shift)] += 1
+    return {shape: {entry: {term: SparsePoly(None, monos) for term, monos in terms.items()}
+                    for entry, terms in entries.items()}
+            for shape, entries in found.items()}
+
+
+def _kept(records):
+    # how many configurations the records hold: every input count is 1 per
+    # configuration, so the coefficients of the input sums add up to them
+    return sum(sum(poly.num.values()) for entries in records.values()
+               for terms in entries.values() for poly in terms.values())
 
 
 @pytest.mark.parametrize("N, degree, m_in", [(1, 8, 1), (2, 6, 1), (3, 5, 0)])
 def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
-    # the pruned slot product must leave the W-slice memo and every residual
-    # (dilaton insertion on) exactly as the full product does,
-    # while handing fewer configurations to _configuration, none whose exponent
-    # budget leaves a derivative mode a negative level, and no derivative-free
-    # one that _configuration rejects; residuals are
+    # the fused, pruned walk must leave the W-slice memo and every residual
+    # (dilaton insertion on) exactly as the full product does, while keeping
+    # fewer configurations than the full product examines, none whose
+    # exponent budget leaves a derivative mode a negative level, and no
+    # derivative-free one that misses its exponent target; residuals are
     # compared on the solved table and again after corrupting one genus-zero
     # slice, where they no longer vanish
-    configuration = DescendantSolver._configuration
-    seen = [0]
-    short = [0]
-    dfree_rejected = [0]
+    walk = DescendantSolver._walk
+    kept = Counter()
 
-    def counted(self, combo, q_pairs, q_target, inputs, floor):
-        seen[0] += 1
-        h = self.rd.h
-        slack = sum(dq - h * (kind == "d") for kind, _, _, dq, _ in combo)
-        short[0] += slack < q_target - q_pairs
-        out = configuration(self, combo, q_pairs, q_target, inputs, floor)
-        if all(kind != "d" for kind, *_ in combo):
-            dfree_rejected[0] += out is None
-        return out
+    def counted(self, units, grades, inputs, floor):
+        records = walk(self, units, grades, inputs, floor)
+        kept["kept"] += _kept(records)
+        for (u_d, _, _, _), entries in records.items():
+            for (dslots, total_lv, pool), terms in entries.items():
+                n = sum(sum(poly.num.values()) for poly in terms.values())
+                kept["short"] += n * (total_lv < u_d)
+                kept["derivative-free rejected"] += n * (not u_d and bool(total_lv or pool))
+        return records
 
-    monkeypatch.setattr(DescendantSolver, "_configuration", counted)
+    monkeypatch.setattr(DescendantSolver, "_walk", counted)
 
     def residuals(table):
         return {(a, m): w_residual(table, a, m, cap=2)
                 for a in range(1, N + 1) for m in (0, 1)}
 
-    def solve():
-        seen[0] = short[0] = dfree_rejected[0] = 0
+    def solve(counts):
+        counts.clear()
         table = solve_recursion(RootData(N), 2, degree, m_in=m_in)
         memo = dict(table.solver._w)
         clean = residuals(table)
         table.solver.perturb(0, (Var(0, N),), 2, (x(0, 1) * x(0, N)).scale(Fraction(1, 7)))
-        return memo, clean, residuals(table), seen[0], short[0], dfree_rejected[0]
+        return memo, clean, residuals(table), dict(counts)
 
-    memo, clean, perturbed, pruned_count, pruned_short, pruned_dfree = solve()
-    monkeypatch.setattr(DescendantSolver, "_slot_combos", _full_product)
-    *full, full_count, full_short, full_dfree = solve()
+    memo, clean, perturbed, pruned = solve(kept)
+    monkeypatch.setattr(DescendantSolver, "_walk", _reference_walk)
+    *full, seen = solve(_SEEN)
     assert full == [memo, clean, perturbed]
-    assert full_count > pruned_count
-    assert pruned_short == 0 < full_short
-    # no configuration without a derivative mode reaches _configuration only to be
-    # rejected there
-    assert pruned_dfree == 0 < full_dfree
+    assert seen["examined"] > pruned["kept"]
+    assert pruned["short"] == 0 < seen["short"]
+    # no kept configuration without a derivative mode misses its exponent
+    # target or carries a pending direction
+    assert pruned["derivative-free rejected"] == 0 < seen["derivative-free rejected"]
     assert any(not p.is_zero() for res in perturbed.values() for p in res.values())
+
+
+@pytest.mark.parametrize("N, genus, degree, m_in",
+                         [(1, 4, 10, 3), (2, 2, 6, 1), (3, 2, 5, 0), (4, 1, 4, 1)])
+def test_fused_walk_matches_full_product(N, genus, degree, m_in):
+    # the records of the fused walk equal those of the full product of the
+    # slot rows, for every W-slice group's units over its first walk and over
+    # an extension, and for the residual units of every label set; at rank 4
+    # only units of at most three unpaired slots (12-13 rows each), and
+    # groups over the extension alone, to keep the full products small
+    table = solve_recursion(RootData(N), genus, degree, m_in=m_in)
+    solver = table.solver
+    cap = 3
+    for a in range(1, N + 1):
+        for m in (0, 1):
+            w_residual(table, a, m, cap=cap)
+    small = 3 if N == 4 else N + 1
+    compared = Counter()
+    for (g, dirs), (walked, _, units, _) in list(solver._groups.items()):
+        units = [(q, unit) for q, unit in units if len(unit[2]) <= small]
+        for inputs in ((0, walked), (walked // 2 + 1, walked))[N == 4:]:
+            want = _reference_walk(solver, units, (g, g), inputs, inputs[0])
+            assert solver._walk(units, (g, g), inputs, inputs[0]) == want, (g, dirs, inputs)
+            compared["group"] += _kept(want)
+    residual_units = [(labels, units) for (labels, _, _, shift, _), units
+                      in list(solver._cluster_units.items()) if shift]
+    assert len(residual_units) == sum(math.comb(N + 1, r) for r in range(2, N + 2))
+    for labels, units in residual_units:
+        units = [unit for unit in units if len(unit[2]) <= small]
+        for m in (0, 1):
+            q_units = [(-(N + 1) * (1 + m), unit) for unit in units]
+            want = _reference_walk(solver, q_units, (0, genus), (0, cap), 0)
+            assert solver._walk(q_units, (0, genus), (0, cap), 0) == want, (labels, m)
+            compared["residual"] += _kept(want)
+    assert compared["group"] > 0 and compared["residual"] > 0
 
 
 def _residual_by_singletons(solver, a, m, cap, genus_cap):
@@ -338,10 +418,10 @@ def _residual_by_singletons(solver, a, m, cap, genus_cap):
         parts = []
         for labels in combinations(range(1, h + 1), h + 1 - a):
             for d in range(cap + 1):
-                for grade, scalar, factor, poly in solver._cluster(
+                for grade, scalar, factor, poly, blocks in solver._cluster(
                         labels, (g, g), (), -h - m * h, (d, d), True, rd.ctx.one):
                     assert grade == g
-                    parts.append((scalar, factor, poly))
+                    parts.append((scalar, factor, poly, blocks))
         out[g] = weighted_sum(rd.ctx, parts)
     return out
 
@@ -391,10 +471,10 @@ def _slice_by_singletons(solver, g, dirs, d):
         q_target = -h - (h * (m + 1) - (a + size - 1))
         for labels in combinations(range(1, h + 1), size):
             ks = solver._kernel_scalar(labels, a)
-            for grade, scalar, factor, poly in solver._cluster(
+            for grade, scalar, factor, poly, blocks in solver._cluster(
                     labels, (g, g), dirs[1:], q_target, (d, d), False, ks):
                 assert grade == g
-                parts.append((scalar, factor, poly))
+                parts.append((scalar, factor, poly, blocks))
     return weighted_sum(rd.ctx, parts).scale(Fraction(-1, h * norm_factor(h, m, a)))
 
 
@@ -419,15 +499,15 @@ def test_group_memo_does_not_depend_on_request_order(monkeypatch, N, genus, degr
     # same memo; and in every order each group walks each of its
     # configurations once, so as many are kept as by the solve
     import random
-    configuration = DescendantSolver._configuration
+    walk = DescendantSolver._walk
     kept = [0]
 
     def counted(self, *args):
-        out = configuration(self, *args)
-        kept[0] += out is not None
-        return out
+        records = walk(self, *args)
+        kept[0] += _kept(records)
+        return records
 
-    monkeypatch.setattr(DescendantSolver, "_configuration", counted)
+    monkeypatch.setattr(DescendantSolver, "_walk", counted)
     memo = solve_recursion(RootData(N), genus, degree, m_in=m_in).solver._w
     walked = kept[0]
     descending = sorted(memo, key=lambda key: (-key[2], key))

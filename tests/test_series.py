@@ -379,25 +379,13 @@ def test_packed_kernel_matches_reference(coeff, data):
     _check(SparsePoly.monomial(vs), {tuple(sorted(Counter(vs).items())): Fraction(1)})
 
 
-def test_monomial_sum_adds_counted_monomials():
-    a, b = V(0, 1), V(1, 2)
-    counts = {(a, b, a): 2, (a, a, b): 3, (b,): -1, (): 4}
-    want = SparsePoly.zero()
-    for vs, c in counts.items():
-        want = want + SparsePoly.monomial(vs).scale(Fraction(c))
-    assert SparsePoly.monomial_sum(counts) == want
-    assert SparsePoly.monomial_sum(counts).terms == {
-        ((a, 2), (b, 1)): 5, ((b, 1),): -1, (): 4}
-    assert SparsePoly.monomial_sum({(a,): 0}).is_zero()
-    with pytest.raises(OverflowError):
-        SparsePoly.monomial_sum({(a,) * 256: 1})
-
-
 def test_degree_limit_of_packed_monomials():
     t = x(0, 1)
     top = t ** 255
     assert top.terms == {((V(0, 1), 255),): 1}
     assert SparsePoly.monomial([V(0, 1)] * 255) == top
+    with pytest.raises(OverflowError):
+        SparsePoly.monomial([V(0, 1)] * 256)
     with pytest.raises(OverflowError):
         SparsePoly.monomial([V(0, 1)] * 128 + [V(0, 2)] * 128)
     with pytest.raises(OverflowError):
@@ -437,6 +425,39 @@ def test_weighted_sum_int_factor_is_the_field_product(parts):
     triples += [(-ctx.from_rat(a) * ctx.eta_pow(k), f, p) for r, a, k, f, p in parts]
     want = weighted_sum(ctx, [(s * f, 1, p) for s, f, p in triples])
     _check(weighted_sum(ctx, triples), dict(want.terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(st.tuples(_KRAT, _KRAT, st.integers(1, _CTX.h - 1), st.integers(-9, 9),
+                                _kernel_polys(), _kernel_polys()), max_size=3))
+def test_weighted_sum_multiplies_blocks_in_the_sum(parts):
+    # a fourth item multiplies the part's polynomial inside the one sum: the
+    # same as the triple of poly * blocks, and None the same as no fourth item
+    ctx = _CTX
+    fused, triples = [], []
+    for r, a, k, f, p, b in parts:
+        eta_part = ctx.from_rat(a) * ctx.eta_pow(k)
+        for s in (ctx.from_rat(r) + eta_part, -eta_part):
+            fused += [(s, f, p, b), (s, f, p, None)]
+            triples += [(s, f, p * b), (s, f, p)]
+    _check(weighted_sum(ctx, fused), dict(weighted_sum(ctx, triples).terms))
+
+
+def test_weighted_sum_blocks_keep_the_degree_limit():
+    # a product in the sum past degree 255 raises where poly * blocks raises:
+    # whatever the scalar, but not when either polynomial is zero
+    ctx = _CTX
+    t, u = x(0, 1), x(1, 2)
+    low, high = t ** 200 + u, t ** 56 + u
+    with pytest.raises(OverflowError):
+        low * high
+    for s in (ctx.one, ctx.zero):
+        with pytest.raises(OverflowError):
+            weighted_sum(ctx, [(s, 1, low, high)])
+    assert weighted_sum(ctx, [(ctx.one, 1, low, SparsePoly.zero())]).is_zero()
+    assert weighted_sum(ctx, [(ctx.one, 1, SparsePoly.zero(), high)]).is_zero()
+    top = t ** 55 + u
+    assert weighted_sum(ctx, [(ctx.one, 3, low, top)]) == (low * top).scale(3)
 
 
 def test_weighted_sum_checks_its_scalars():
