@@ -152,7 +152,7 @@ def cmd_constants(args) -> int:
         return 0
     lines = [f"{name} = {_scalar_text(value)}" for _, name, value in rows]
     if args.approx:
-        lines.append(f"approx C = {c.approx(10):.10g}")
+        lines.append(f"approx C = {c.approx():.10g}")
     _write("\n".join(lines), args)
     return 0
 
@@ -163,7 +163,7 @@ def cmd_potential(args) -> int:
     rd = _rank(args.n)
     if args.genus == 0:
         profile = Profile(N=args.n, m_in=args.m_in, D=args.degree)
-        payload = solve(rd, profile, m_out=args.m_in).to_json()
+        payload = solve(rd, profile).to_json()
     else:
         payload = solve_recursion(rd, args.genus, args.degree, m_in=args.m_in).to_json()
     _emit(payload, args)
@@ -252,10 +252,7 @@ def cmd_verify(args) -> int:
         table = solve_recursion(rd, args.genus, args.degree, m_in=args.m_in)
         for a in range(1, args.n + 1):
             for m in range(args.m_max + 1):
-                rep = wconstraint_report(table, a, m, args.cap)
-                results.append(CheckReport(
-                    claim=f"constraint residual a={a} m={m}",
-                    passed=rep["pass"], witness=rep["residual_terms"] or None))
+                results.append(wconstraint_report(table, a, m, args.cap))
     if not results:
         raise _Usage(f"suite {suite} has no checks to run for this configuration")
     report = SuiteReport(suite=suite, config=config, results=results)

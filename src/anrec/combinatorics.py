@@ -181,8 +181,7 @@ def _in_one_minus_y(rd: RootData, values: list[CycScalar]) -> YPoly:
         for k in range(len(values))])
 
 
-def verify_symc_generating(rd: RootData, a: tuple[int, ...],
-                           ycap: int | None = None) -> CheckReport:
+def verify_symc_generating(rd: RootData, a: tuple[int, ...]) -> CheckReport:
     """Generating identity for SymC with trailing top-index entries:
 
         |Aut(a)| * sum_m SymC(a..., N^m) (1-Y)^m
@@ -194,15 +193,14 @@ def verify_symc_generating(rd: RootData, a: tuple[int, ...],
     of repeated entries of ``a`` once per arrangement, hence the |Aut(a)|
     multiplicity on the left.  The left side is a polynomial (SymC dies once
     the tuple outgrows h-1); the right side is compared as a truncated
-    Y-series up to ``ycap``, whose default exceeds the left side's degree,
+    Y-series up to ycap = r + h + 2, which exceeds the left side's degree,
     certifying the degree bound too.
     """
     a = tuple(a)
     r = len(a)
     if r < 1 or any(not 1 <= x <= rd.N - 1 for x in a):
         raise ValueError("entries must lie in 1..N-1, tuple non-empty")
-    if ycap is None:
-        ycap = r + rd.h + 2
+    ycap = r + rd.h + 2
 
     aut = 1
     for v in set(a):

@@ -362,14 +362,8 @@ class CycScalar:
             raise NotRationalError(self)
         return Fraction(self.num[0], self.den)
 
-    def approx(self, digits: int = 10) -> complex:
-        """Numeric value at eta = exp(2*pi*i/h); diagnostic only.
-
-        Double precision supports digits <= 12 for the coefficient sizes
-        appearing here.
-        """
-        if digits < 1 or digits > 12:
-            raise ValueError("digits must lie in 1..12")
+    def approx(self) -> complex:
+        """Numeric value at eta = exp(2*pi*i/h) in double precision; diagnostic only."""
         eta = cmath.exp(2j * cmath.pi / self.ctx.h)
         return sum(float(c) * eta ** k for k, c in enumerate(self.coeffs))
 

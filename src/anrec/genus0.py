@@ -154,7 +154,7 @@ class G0Solver:
                 # one tail at level m' needs -(m'+1)h >= -(m+n+2)h - r*m_in*h
                 tail_max = m + n + 1 + r * self.profile.m_in
                 # residue of (product * lambda^(m+n+1))
-                part = self._slot_product((a0,) + mu, tail_max, d - r, d)
+                part = self._slot_product((a0,) + mu, tail_max, d)
                 if part.is_zero():
                     continue
                 weight = self._weight(mu)
@@ -163,22 +163,24 @@ class G0Solver:
         return -weighted_sum(rd.ctx, parts)
 
     def _slot_product(self, slots: tuple[int, ...], tail_max: int,
-                      factor_cap: int, prod_cap: int) -> SparsePoly:
+                      prod_cap: int) -> SparsePoly:
         """Degree-prod_cap part of the lambda^(q_t/h) coefficient of the fields' product.
 
         The key fixes the one slot :meth:`_rhs` reads,
-        q_t = -(tail_max + 1 - r*m_in)h with r + 1 factors.  Each prefix
-        product is formed only in the exponents from which the factors still
-        to come can reach q_t, and only up to the degree they leave: every
-        nonzero term of a field has degree >= 1.  The last product forms q_t
-        alone; no other lambda slot is ever formed.
+        q_t = -(tail_max + 1 - r*m_in)h with r + 1 factors, each formed up
+        to degree prod_cap - r.  Each prefix product is formed only in the
+        exponents from which the factors still to come can reach q_t, and
+        only up to the degree they leave: every nonzero term of a field has
+        degree >= 1.  The last product forms q_t alone; no other lambda slot
+        is ever formed.
         """
-        key = (tuple(sorted(slots)), tail_max, factor_cap, prod_cap)
+        key = (tuple(sorted(slots)), tail_max, prod_cap)
         got = self._products.get(key)
         if got is not None:
             return got
-        factors = [self._phi(a, tail_max, factor_cap) for a in key[0]]
-        q_t = -(tail_max + 1 - (len(slots) - 1) * self.profile.m_in) * self.rd.h
+        r = len(slots) - 1
+        factors = [self._phi(a, tail_max, prod_cap - r) for a in key[0]]
+        q_t = -(tail_max + 1 - r * self.profile.m_in) * self.rd.h
         prod = factors[0]
         for i in range(1, len(factors)):
             later = factors[i + 1:]
@@ -269,12 +271,12 @@ def exact_potential(solver: G0Solver) -> tuple[SparsePoly, CheckReport]:
     return F, exactness
 
 
-def solve(rd: RootData, profile: Profile, m_out: int = 0) -> PotentialG0:
+def solve(rd: RootData, profile: Profile) -> PotentialG0:
     """Run the recursion up to the profile's degree cap and integrate."""
     solver = G0Solver(rd, profile)
     F, exactness = exact_potential(solver)
     ptable: dict[Var, SparsePoly] = {}
-    for m in range(max(m_out, profile.m_in) + 1):
+    for m in range(profile.m_in + 1):
         for a in range(1, rd.N + 1):
             ptable[Var(m, a)] = solver.p_poly(m, a)
     checks = {"exactness": exactness}

@@ -15,24 +15,25 @@ selects which configurations contribute at genus g.
 
 One walk over the pair sets and slot options of a label set serves a range
 of grades and degrees: each configuration is found once and closed at every
-(grade, degree) in range that its blocks reach.  A constraint residual walks
-each label set once, over walk units listed once per solver.  A W-slice
-group (g, dirs) keeps its walk: a slice asked at a higher degree extends it
-only over configurations with more input variables, if a unit can carry
-more.  The walk is one pass from slot options to records: every option is a
-row (slack, is an input, tag), built once per solver, whose tag packs the
-eta exponent, sign, derivative mode and input monomial into one int, so a
-configuration is a sum of rows and a count.  The last two slots of a unit
-form one table bucketed by slack mod h and input count.  Only
-configurations that can contribute are kept: every derivative mode gets a
-level >= 0 from the exponent budget, and one without derivative modes
-closes on the spot (no pending direction, a grade and degree in range, the
-exponent target hit exactly).  Records group them by shape (#derivative
-modes, #pending directions, #pairs, #inputs), derivative modes, level total
-and pending directions, with input monomials summed per scalar and sign.  A
-degree-d slice closes each record whose shape has a block plan at degree
-d - #inputs; the level and block splits are built once per shape
-(:func:`_level_vectors`, :func:`_block_plans`), and
+(grade, degree) in range that its blocks reach.  A constraint residual, like
+a W-slice group (g, dirs), lists the walk units of all its label sets (once
+per solver), walks them once and closes the records once, so records of
+different label sets merge.  A group keeps its walk: a slice asked at a
+higher degree extends it only over configurations with more input variables,
+if a unit can carry more.  The walk is one pass from slot options to
+records: every option is a row (slack, is an input, tag), built once per
+solver, whose tag packs the eta exponent, sign, derivative mode and input
+monomial into one int, so a configuration is a sum of rows and a count.
+The last two slots of a unit form one table bucketed by slack mod h and
+input count.  Only configurations that can contribute are kept: every
+derivative mode gets a level >= 0 from the exponent budget, and one without
+derivative modes closes on the spot (no pending direction, a grade and
+degree in range, the exponent target hit exactly).  Records group them by
+shape (#derivative modes, #pending directions, #pairs, #inputs), derivative
+modes, level total and pending directions, with input monomials summed per
+scalar and sign.  A degree-d slice closes each record whose shape has a
+block plan at degree d - #inputs; the level and block splits are built once
+per shape (:func:`_level_vectors`, :func:`_block_plans`), and
 :func:`anrec.series.weighted_sum` multiplies each W-slice product, int level
 factor and scalar in its one sum.  At m_in >= 1 the input x_{1,N} weighs
 zero, so closing (g, dirs, d) reads (g, dirs, d') of its own group, always
@@ -69,6 +70,7 @@ from .genus0 import (
     mixed_partials,
     norm_factor,
 )
+from .reporting import CheckReport
 from .rootsys import RootData, divided_difference, subset_product
 from .series import SparsePoly, Var, _mono_key, _poly, weighted_sum
 
@@ -300,25 +302,11 @@ class DescendantSolver:
             most = max((room[0] for _, (*_, room, _, _) in units), default=0)
         if walked < most:
             inputs = (walked + 1, d)
-            records = {**records, **self._walk(units, (g, g), inputs, inputs[0])}
+            records = {**records, **self._walk(units, (g, g), inputs)}
         self._groups[(g, dirs)] = (d, records, units, most)
         return records
 
     # -- the cluster expansion ---------------------------------------------------
-
-    def _cluster(self, slots: tuple[int, ...], grades: tuple[int, int],
-                 externals: tuple[Var, ...], q_target: int, degrees: tuple[int, int],
-                 shift: bool, scalar: CycScalar):
-        """Yield (grade, scalar, factor, poly, blocks) for the configurations of one label set.
-
-        Grades and degrees run over the inclusive ranges ``grades`` and
-        ``degrees``, all in one :meth:`_walk` whose records :meth:`_close`
-        closes; the other arguments are those of :meth:`_units`.
-        """
-        units = self._units(slots, grades[1], externals, shift, scalar)
-        records = self._walk([(q_target, unit) for unit in units], grades,
-                             (0, degrees[1]), degrees[0])
-        return self._close(records, grades, degrees)
 
     def _units(self, slots: tuple[int, ...], max_pairs: int, externals: tuple[Var, ...],
                shift: bool, scalar: CycScalar) -> list[tuple]:
@@ -422,7 +410,7 @@ class DescendantSolver:
                 got[x].setdefault(slack % self.rd.h, []).append((slack, tag))
         return got
 
-    def _walk(self, units, grades: tuple[int, int], inputs: tuple[int, int], floor: int) -> dict:
+    def _walk(self, units, grades: tuple[int, int], inputs: tuple[int, int]) -> dict:
         """Records of every configuration of ``units`` with n in ``inputs`` that can close.
 
         ``units`` are (q_target, :meth:`_units` tuple) pairs.  Records map a
@@ -432,8 +420,8 @@ class DescendantSolver:
         their level + 1, the unit's scalar times eta^k_sum (one object per
         pair set and k mod h), the sign, and the sum of input monomials.  A
         configuration without derivative modes closes at grade p and degree
-        n, so it is kept only with no pending direction, p a grade in range
-        and n >= ``floor``.
+        n, so it is kept only with no pending direction and p a grade in
+        range.
         """
         h, key_shift = self.rd.h, self._key_shift
         term_mask = (1 << (key_shift + 8)) - 1  # all but the input variables' own bytes
@@ -441,10 +429,10 @@ class DescendantSolver:
         found: dict[tuple, dict] = {}
         for q_target, (p, pool, rows, tail, reach, room, pair_scalar, rotated) in units:
             q_residue = q_target + 2 * h * p  # what the slots must add to the pairs' -2hp
-            least = floor if not pool and p >= grades[0] else inputs[1] + 1
+            closes = not pool and p >= grades[0]
             cells: dict[tuple[int, int], dict] = {}  # the input sums of one record term
             for (tag, slack), count in self._leaves(rows, tail, reach, room, q_residue,
-                                                    inputs, least).items():
+                                                    inputs, closes).items():
                 mono = tag >> key_shift
                 monos = cells.get((tag & term_mask, slack))
                 if monos is None:
@@ -467,14 +455,14 @@ class DescendantSolver:
 
     def _leaves(self, rows: list[tuple], tail: tuple[dict, ...], reach: list[int],
                 room: list[int], q_residue: int, inputs: tuple[int, int],
-                least: int) -> dict[tuple[int, int], int]:
+                closes: bool) -> dict[tuple[int, int], int]:
         """{(tag sum, slack sum): count} over the kept configurations of one unit.
 
         A configuration picks one row per slot of ``rows``.  It is kept if
         its input count lies in the inclusive range ``inputs`` and its
         slacks sum to ``q_residue`` mod h and to at least ``q_residue``
         (every derivative mode a level >= 0); without derivative modes, to
-        ``q_residue`` exactly, with at least ``least`` input variables.  A
+        ``q_residue`` exactly, and only if the unit ``closes``.  A
         branch stops once it has too many inputs, or the slots left cannot
         add enough inputs (``room``) or slack (``reach``).  The last two
         slots are read from ``tail`` where a choice closes the gap mod h and
@@ -515,7 +503,7 @@ class DescendantSolver:
                         if s_end < q_residue:
                             break
                         t += t_mid
-                        if t & has_modes or (s_end == q_residue and n_mid + x >= least):
+                        if t & has_modes or (closes and s_end == q_residue):
                             leaf = (t, s_end)
                             leaves[leaf] = leaves.get(leaf, 0) + 1
 
@@ -579,8 +567,9 @@ class DescendantSolver:
 
         The degree-r state is the elementary symmetric polynomial in the
         labels: one slot tuple per r-subset of 1..h, each with weight one.
-        One cluster walk per label set covers every grade 0..genus_cap and
-        degree 0..cap; its parts are bucketed by grade and each grade is one
+        The walk units of every r-subset are walked and closed once, over
+        every grade 0..genus_cap and degree 0..cap, as a W-slice group's
+        are; the parts are bucketed by grade and each grade is one
         :func:`weighted_sum`.
 
         A grade-g component is exact once the memoised table is complete
@@ -591,13 +580,13 @@ class DescendantSolver:
         h = rd.h
         if not 1 <= a <= rd.N:
             raise ValueError("constraint index out of range")
-        r = h + 1 - a
         q_target = -h - m * h
+        units = [(q_target, unit) for labels in combinations(range(1, h + 1), h + 1 - a)
+                 for unit in self._units(labels, genus_cap, (), True, rd.ctx.one)]
+        grades, degrees = (0, genus_cap), (0, cap)
         parts: dict[int, list] = {g: [] for g in range(genus_cap + 1)}
-        for labels in combinations(range(1, h + 1), r):
-            for part in self._cluster(
-                    labels, (0, genus_cap), (), q_target, (0, cap), True, rd.ctx.one):
-                parts[part[0]].append(part[1:])
+        for g, *part in self._close(self._walk(units, grades, degrees), grades, degrees):
+            parts[g].append(part)
         return {g: weighted_sum(rd.ctx, grade_parts) for g, grade_parts in parts.items()}
 
     def perturb(self, g: int, dirs: tuple[Var, ...], d: int,
@@ -679,12 +668,9 @@ def w_residual(table: PotentialTable, a: int, m: int, cap: int,
     return table.solver.constraint_residual(a, m, cap, genus_cap)
 
 
-def wconstraint_report(table: PotentialTable, a: int, m: int, cap: int,
-                       genus_cap: int | None = None) -> dict:
-    res = w_residual(table, a, m, cap, genus_cap)
-    terms = []
-    for g, poly in sorted(res.items()):
-        if not poly.is_zero():
-            terms.append({"grade": g, "poly": poly.to_json()})
-    return {"N": table.rd.N, "a": a, "m": m, "cap": cap,
-            "residual_terms": terms, "pass": not terms}
+def wconstraint_report(table: PotentialTable, a: int, m: int, cap: int) -> CheckReport:
+    """The verdict on one constraint residual: it passes if every grade vanishes."""
+    terms = [{"grade": g, "poly": poly.to_json()}
+             for g, poly in sorted(w_residual(table, a, m, cap).items()) if not poly.is_zero()]
+    return CheckReport(claim=f"constraint residual a={a} m={m}", passed=not terms,
+                       witness=terms or None)

@@ -347,6 +347,28 @@ def test_genus0_potential_content_hash(capsys, argv, digest):
     assert json.loads(out)["content_hash"] == digest
 
 
+@pytest.mark.parametrize("argv, count, digest", [
+    (("--n", "3", "--degree", "5", "--genus", "1", "--cap", "2", "--m-max", "1"), 6,
+     "fe0e94c64b399c92a5e426017edc627d35a2ec79bf0c2cd190f31d27636eaf65"),
+    (("--n", "3", "--degree", "7", "--genus", "2", "--cap", "4", "--m-max", "2",
+      "--m-in", "1"), 9,
+     "fc0c2f7efa296e2c53b85549d97216c0526f92db3531b7c608d9f95425e823cc"),
+    (("--n", "4", "--degree", "5", "--genus", "1", "--cap", "2", "--m-max", "1",
+      "--m-in", "1"), 8,
+     "7be9fc0ab7b9d96975434dcc0a49b659a5727a705aee8084fa7f74da6773edc4"),
+], ids=["n3-g1", "n3-g2", "n4-g1"])
+def test_wconstraint_suite_content_hash(capsys, argv, count, digest):
+    # residual suites over solved tables at ranks 3 and 4 and genus 1 and 2:
+    # every residual vanishes, and a faster walk or closing must reproduce
+    # these bytes exactly
+    code, out, _ = run(capsys, "verify", "wconstraint", *argv, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] and len(data["results"]) == count
+    assert all(r["pass"] for r in data["results"])
+    assert data["content_hash"] == digest
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "wconstraint", "--n", "0"), "bad rank"),
     (("verify", "vandermonde", "--h", "1"), "bad rank"),

@@ -106,11 +106,11 @@ def test_context_mismatch_raises():
 def test_approx_diagnostic():
     ctx = cyc_context(4)
     eta = ctx.eta_pow(1)
-    assert abs(eta.approx(10) - 1j) < 1e-10
+    assert abs(eta.approx() - 1j) < 1e-10
     s = ctx.zero
     for k in range(4):
         s = s + ctx.eta_pow(k)
-    assert abs(s.approx(10)) < 1e-10
+    assert abs(s.approx()) < 1e-10
 
 
 def _scalars(h: int):
@@ -149,7 +149,7 @@ def test_rational_demotion_matches_approx(h, data):
         q = a.to_rational()
     except NotRationalError:
         return
-    assert abs(a.approx(10) - float(q)) < 1e-10
+    assert abs(a.approx() - float(q)) < 1e-10
 
 
 def test_serialization_round_trip():

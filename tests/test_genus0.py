@@ -97,8 +97,8 @@ def test_phi0_primary_shape():
 
 def _full_slot_product(solver, key):
     # the fields multiplied in every lambda slot, then the slot _rhs reads
-    slots, tail_max, factor_cap, prod_cap = key
-    factors = [solver._phi(a, tail_max, factor_cap) for a in slots]
+    slots, tail_max, prod_cap = key
+    factors = [solver._phi(a, tail_max, prod_cap - (len(slots) - 1)) for a in slots]
     prod = factors[0]
     for f in factors[1:]:
         prod = prod.mul_capped(f, prod_cap)
@@ -226,7 +226,7 @@ def _reference_rhs(solver, weights, m, a, d):
                 weights[mu] = _brute_sym_c(rd.ctx, h, mu)
             tail_max = m + n + 1 + r * solver.profile.m_in
             parts.append((weights[mu], 1, _full_slot_product(
-                solver, ((a0,) + mu, tail_max, d - r, d))))
+                solver, ((a0,) + mu, tail_max, d))))
     return -weighted_sum(rd.ctx, parts)
 
 
@@ -247,7 +247,7 @@ def test_rhs_matches_sum_over_every_multiset(N, m_in):
 
 def test_descendant_profile_lowest_orders():
     # with one descendant level on, the table gains level-weighted terms
-    pot = solve(RootData(1), Profile(N=1, m_in=1, D=4), m_out=1)
+    pot = solve(RootData(1), Profile(N=1, m_in=1, D=4))
     t, s = x(0, 1), x(1, 1)
     # dF/dx_0 slice: t^2/2 plus descendant dressing t^2 s/couplings
     p0 = pot.ptable[Var(0, 1)]

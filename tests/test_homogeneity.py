@@ -30,7 +30,7 @@ def _solve_both(N, genus_cap, degree, m_in):
     profile = Profile(N=N, m_in=m_in, D=table.degree_caps[0])
     g0 = G0Solver(RootData(N), profile)
     ptable = {Var(m, a): g0.p_poly(m, a) for m in range(m_in + 1) for a in range(1, N + 1)}
-    pot = solve(RootData(N), profile, m_out=m_in)
+    pot = solve(RootData(N), profile)
     return [(dict(table.solver._w), table.potentials),
             (dict(g0._slices), (pot.F, ptable))]
 

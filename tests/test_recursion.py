@@ -11,7 +11,7 @@ import pytest
 
 from kdv_oracle import free_energy_coefficient, psi_correlator
 
-from anrec.genus0 import Profile, norm_factor, solve
+from anrec.genus0 import G0Solver, Profile, norm_factor
 from anrec.recursion import (
     _MODE_SHIFT,
     _SIGN_SHIFT,
@@ -93,12 +93,12 @@ def test_w_slices_match_genus0_engine():
     for N in (1, 2, 3):
         rd = RootData(N)
         s = DescendantSolver(rd, m_in=0)
-        pot = solve(rd, Profile(N=N, m_in=0, D=5), m_out=2)
+        g0 = G0Solver(rd, Profile(N=N, m_in=0, D=5))
         for (m, a) in [(0, 1), (1, 1), (2, min(2, N))]:
             for d in (2, 3, 4):
                 got = s.w_slice(0, (Var(m, a),), d).scale(
                     Fraction(norm_factor(rd.h, m, a)))
-                assert got == pot.ptable[Var(m, a)].homo_part(d)
+                assert got == g0.p_poly(m, a).homo_part(d)
 
 
 def test_w_slice_mixed_partial_symmetry():
@@ -206,8 +206,9 @@ def test_residual_negative_control():
 def test_residual_report_shape(a2_table):
     from anrec.recursion import wconstraint_report
     rep = wconstraint_report(a2_table, 1, 0, 3)
-    assert rep["pass"] and rep["residual_terms"] == []
-    assert rep["N"] == 2 and rep["cap"] == 3
+    assert rep.passed and rep.witness is None
+    assert rep.to_json() == {"claim": "constraint residual a=1 m=0", "lhs": None,
+                             "rhs": None, "pass": True}
 
 
 def test_table_json(a2_table):
@@ -281,13 +282,13 @@ def test_negative_genus_cap_rejected():
 _SEEN = Counter()  # what the reference walk examined
 
 
-def _reference_walk(self, units, grades, inputs, floor):
+def _reference_walk(self, units, grades, inputs):
     # the records of the full product of each unit's slot rows, with the
     # definition of a kept configuration applied at the leaf: the exponent
     # budget span = q - q_target is a multiple of h that leaves every
     # derivative mode a level >= 0, and one without derivative modes closes
     # on the spot (span 0, no pending direction, its pair count a grade in
-    # range, at least `floor` inputs); the input count lies in `inputs`
+    # range); the input count lies in `inputs`
     h, N = self.rd.h, self.rd.N
     lo, hi = inputs
     found = {}
@@ -302,7 +303,7 @@ def _reference_walk(self, units, grades, inputs, floor):
             if dslots:
                 kept = span >= h * len(dslots)
             else:
-                kept = span == 0 and not pool and p >= grades[0] and n >= floor
+                kept = span == 0 and not pool and p >= grades[0]
             kept = kept and lo <= n <= hi and span % h == 0
             _SEEN["examined"] += 1
             _SEEN["short"] += span < h * len(dslots)
@@ -337,8 +338,8 @@ def test_slot_pruning_changes_no_output(monkeypatch, N, degree, m_in):
     walk = DescendantSolver._walk
     kept = Counter()
 
-    def counted(self, units, grades, inputs, floor):
-        records = walk(self, units, grades, inputs, floor)
+    def counted(self, units, grades, inputs):
+        records = walk(self, units, grades, inputs)
         kept["kept"] += _kept(records)
         for (u_d, _, _, _), entries in records.items():
             for (dslots, total_lv, pool), terms in entries.items():
@@ -392,8 +393,8 @@ def test_fused_walk_matches_full_product(N, genus, degree, m_in):
     for (g, dirs), (walked, _, units, _) in list(solver._groups.items()):
         units = [(q, unit) for q, unit in units if len(unit[2]) <= small]
         for inputs in ((0, walked), (walked // 2 + 1, walked))[N == 4:]:
-            want = _reference_walk(solver, units, (g, g), inputs, inputs[0])
-            assert solver._walk(units, (g, g), inputs, inputs[0]) == want, (g, dirs, inputs)
+            want = _reference_walk(solver, units, (g, g), inputs)
+            assert solver._walk(units, (g, g), inputs) == want, (g, dirs, inputs)
             compared["group"] += _kept(want)
     residual_units = [(labels, units) for (labels, _, _, shift, _), units
                       in list(solver._cluster_units.items()) if shift]
@@ -402,26 +403,34 @@ def test_fused_walk_matches_full_product(N, genus, degree, m_in):
         units = [unit for unit in units if len(unit[2]) <= small]
         for m in (0, 1):
             q_units = [(-(N + 1) * (1 + m), unit) for unit in units]
-            want = _reference_walk(solver, q_units, (0, genus), (0, cap), 0)
-            assert solver._walk(q_units, (0, genus), (0, cap), 0) == want, (labels, m)
+            want = _reference_walk(solver, q_units, (0, genus), (0, cap))
+            assert solver._walk(q_units, (0, genus), (0, cap)) == want, (labels, m)
             compared["residual"] += _kept(want)
     assert compared["group"] > 0 and compared["residual"] > 0
 
 
+def _singleton_parts(solver, units, g, d):
+    # the parts of one walk and closing at the single grade g and degree d
+    parts = []
+    for grade, *part in solver._close(solver._walk(units, (g, g), (0, d)), (g, g), (d, d)):
+        assert grade == g
+        parts.append(part)
+    return parts
+
+
 def _residual_by_singletons(solver, a, m, cap, genus_cap):
-    # the residual as one singleton-range cluster walk per label set, grade
-    # and degree, summed grade by grade
+    # the residual as one singleton-range walk per label set, grade and
+    # degree, summed grade by grade
     rd = solver.rd
     h = rd.h
     out = {}
     for g in range(genus_cap + 1):
         parts = []
         for labels in combinations(range(1, h + 1), h + 1 - a):
+            units = [(-h - m * h, unit)
+                     for unit in solver._units(labels, g, (), True, rd.ctx.one)]
             for d in range(cap + 1):
-                for grade, scalar, factor, poly, blocks in solver._cluster(
-                        labels, (g, g), (), -h - m * h, (d, d), True, rd.ctx.one):
-                    assert grade == g
-                    parts.append((scalar, factor, poly, blocks))
+                parts += _singleton_parts(solver, units, g, d)
         out[g] = weighted_sum(rd.ctx, parts)
     return out
 
@@ -461,8 +470,8 @@ def test_residual_walk_matches_singleton_sum(N, degree, m_in):
 # -- the per-group walk memo --------------------------------------------------------
 
 def _slice_by_singletons(solver, g, dirs, d):
-    # the W-slice as one singleton-range cluster walk per label set, with
-    # nothing kept between degrees
+    # the W-slice as one singleton-range walk per label set, with nothing
+    # kept between degrees
     rd = solver.rd
     h = rd.h
     m, a = dirs[0]
@@ -471,10 +480,8 @@ def _slice_by_singletons(solver, g, dirs, d):
         q_target = -h - (h * (m + 1) - (a + size - 1))
         for labels in combinations(range(1, h + 1), size):
             ks = solver._kernel_scalar(labels, a)
-            for grade, scalar, factor, poly, blocks in solver._cluster(
-                    labels, (g, g), dirs[1:], q_target, (d, d), False, ks):
-                assert grade == g
-                parts.append((scalar, factor, poly, blocks))
+            units = [(q_target, unit) for unit in solver._units(labels, g, dirs[1:], False, ks)]
+            parts += _singleton_parts(solver, units, g, d)
     return weighted_sum(rd.ctx, parts).scale(Fraction(-1, h * norm_factor(h, m, a)))
 
 
