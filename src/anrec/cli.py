@@ -29,6 +29,7 @@ import os
 import random
 import sys
 from itertools import product as iproduct
+from json.encoder import encode_basestring_ascii
 
 from .combinatorics import (
     c_bracket,
@@ -53,12 +54,39 @@ def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _indented_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, at indentation ``pad``.
+
+    ``json.dumps`` writes indented text through its pure-Python encoder, one
+    small piece per token.  Here a nonempty list, tuple or dict with string
+    keys is one join of the texts of its members, strings go through the C
+    encoder that ``json.dumps`` uses, ints through ``int.__repr__`` and
+    ``None``, ``True`` and ``False`` are spelled out.  Everything else is left
+    to ``json.dumps``, indented to ``pad`` (no JSON string holds a raw
+    newline), so it is written, or refused, as before.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + inner + sep.join([int.__repr__(v) if type(v) is int else
+                                       _indented_json(v, inner) for v in obj]) + pad + "]"
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        return "{" + inner + sep.join([encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
+                                       for k, v in sorted(obj.items())]) + pad + "}"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def _emit(payload: dict, args) -> None:
     payload = dict(payload)
     payload["content_hash"] = hashlib.sha256(
         _canonical_json(payload).encode()).hexdigest()
-    text = (json.dumps(payload, indent=2, sort_keys=True)
-            if args.format == "json" else _as_text(payload))
+    text = _indented_json(payload) if args.format == "json" else _as_text(payload)
     _write(text, args)
 
 

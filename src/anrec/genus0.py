@@ -21,13 +21,19 @@ so each slot product and residue is taken once per multiset.  A multiset of
 size r has r + 1 field factors, each of degree >= 1, so a degree-d slice
 visits only sizes r <= d - 1.  SymC(mu) is summed from C on demand, only
 for a multiset whose slot product is nonzero, and memoised per solver; a
-vanishing weight is skipped.  Of each slot product only the one
-coefficient the right side reads is formed: the degree-d part of the
-lambda slot -(m+n+2)h.  Every other lambda slot, and every prefix slot from
-which the factors still to come cannot reach that one, is skipped before
-its polynomial product is taken.  Slot products, and the third-derivative
-products of the WDVV check, go through the degree-capped polynomial
-product, which skips every monomial pair whose degrees sum past the cap.
+vanishing weight is skipped.  A multiset whose product cannot reach the
+lambda slot -(m+n+2)h that the residue reads (every field tops out at
+lambda^(m_in)) is skipped before any key is built.  Of each slot product
+only that one coefficient is formed, at degree d: the prefix products skip
+every pair of lambda slots, and every monomial pair, from which the
+factors still to come cannot reach it (the degree-capped, windowed
+:meth:`~anrec.series.LambdaSeries.mul_capped`, one loop and one gcd per
+product), a prefix that comes out zero ends the chain, and the last factor
+is read only where it closes the coefficient, each monomial against those
+of the complementary degree (:meth:`~anrec.series.LambdaSeries.slot_part`).
+The third-derivative products of the WDVV check go through the degree-capped
+polynomial product, and each WDVV equation is one sum of its two sides'
+difference over one lcm; the sides are formed only to report a failure.
 
 Slices that weighted homogeneity forces to zero are never computed.  With
 x_{m,a} of weight (a+1)/h - m (:func:`euler_weight`), every monomial of the
@@ -48,7 +54,7 @@ from .combinatorics import _distinct_permutations, c_const
 from .exactnum import CycScalar, Rat, rat_str
 from .reporting import CheckReport
 from .rootsys import RootData
-from .series import LambdaSeries, SparsePoly, Var, weighted_sum
+from .series import LambdaSeries, SparsePoly, Var, poly_sum, weighted_sum
 
 
 def norm_factor(h: int, m: int, a: int) -> int:
@@ -145,14 +151,17 @@ class G0Solver:
         # r <= d - 1 can reach degree d
         rd = self.rd
         h = rd.h
+        m_in = self.profile.m_in
         parts = []
         for r in range(1, min(h - 1, d - 1) + 1):
             for mu in combinations_with_replacement(range(1, h), r):
                 n, a0 = split_n_a0(h, a, mu)
-                if a0 == 0:
+                # the residue reads the product at lambda^(-(m+n+2)), and no
+                # product of r + 1 fields reaches above lambda^((r+1)*m_in)
+                if a0 == 0 or m + n + 2 + (r + 1) * m_in < 0:
                     continue
                 # one tail at level m' needs -(m'+1)h >= -(m+n+2)h - r*m_in*h
-                tail_max = m + n + 1 + r * self.profile.m_in
+                tail_max = m + n + 1 + r * m_in
                 # residue of (product * lambda^(m+n+1))
                 part = self._slot_product((a0,) + mu, tail_max, d)
                 if part.is_zero():
@@ -171,8 +180,8 @@ class G0Solver:
         to degree prod_cap - r.  Each prefix product is formed only in the
         exponents from which the factors still to come can reach q_t, and
         only up to the degree they leave: every nonzero term of a field has
-        degree >= 1.  The last product forms q_t alone; no other lambda slot
-        is ever formed.
+        degree >= 1.  The last factor only closes the degree-prod_cap part
+        of q_t; no other lambda slot or degree of the product is ever formed.
         """
         key = (tuple(sorted(slots)), tail_max, prod_cap)
         got = self._products.get(key)
@@ -181,15 +190,20 @@ class G0Solver:
         r = len(slots) - 1
         factors = [self._phi(a, tail_max, prod_cap - r) for a in key[0]]
         q_t = -(tail_max + 1 - r * self.profile.m_in) * self.rd.h
+        # the exponent span of the factors after the i-th; an empty factor
+        # zeroes the product, whatever its window
+        top, low = [0] * (r + 1), [0] * (r + 1)
+        for i in range(r - 1, 0, -1):
+            slots_after = factors[i + 1].slots
+            top[i] = top[i + 1] + max(slots_after, default=0)
+            low[i] = low[i + 1] + min(slots_after, default=0)
         prod = factors[0]
-        for i in range(1, len(factors)):
-            later = factors[i + 1:]
-            # an empty factor zeroes the product, whatever its window
-            window = (q_t - sum(max(f.terms, default=0) for f in later),
-                      q_t - sum(min(f.terms, default=0) for f in later))
-            prod = prod.mul_capped(factors[i], prod_cap - len(later), window)
-        part = prod.coefficient(q_t).homo_part(prod_cap)
-        self._products[key] = part
+        for i in range(1, r):
+            if prod.is_zero():  # so is every longer prefix
+                break
+            prod = prod.mul_capped(factors[i], prod_cap - (r - i),
+                                   (q_t - top[i], q_t - low[i]))
+        part = self._products[key] = prod.slot_part(factors[r], q_t, prod_cap)
         return part
 
     def _phi(self, a: int, tail_max: int, deg_cap: int) -> LambdaSeries:
@@ -197,6 +211,7 @@ class G0Solver:
 
         Only tail levels up to ``tail_max`` and degrees up to ``deg_cap`` are
         formed; callers pick both from the residue they are about to extract.
+        A tail slot is the sum of its homogeneous slices over one lcm.
         """
         # slices are write-once, so a field built from them never changes
         key = (a, tail_max, deg_cap)
@@ -209,21 +224,15 @@ class G0Solver:
             for k in range(self.profile.m_in + 1):
                 terms[k * h] = SparsePoly.variable(Var(k, a))
         for mp in range(tail_max + 1):
-            acc = SparsePoly.zero()
-            for d in range(2, deg_cap + 1):
-                acc = acc + self.p_slice(mp, h - a, d)
-            if not acc.is_zero():
-                terms[-(mp + 1) * h] = acc
+            terms[-(mp + 1) * h] = poly_sum((1, self.p_slice(mp, h - a, d))
+                                            for d in range(2, deg_cap + 1))
         got = self._fields[key] = LambdaSeries(h, terms)
         return got
 
     # -- outputs ---------------------------------------------------------------
 
     def p_poly(self, m: int, a: int) -> SparsePoly:
-        acc = SparsePoly.zero()
-        for d in range(2, self.profile.D + 1):
-            acc = acc + self.p_slice(m, a, d)
-        return acc
+        return poly_sum((1, self.p_slice(m, a, d)) for d in range(2, self.profile.D + 1))
 
 
 @dataclass
@@ -360,17 +369,16 @@ def wdvv_check(N: int, F: SparsePoly, complete_to: int) -> CheckReport:
         for b in range(1, N + 1):
             for c in range(b + 1, N + 1):
                 for d in range(a + 1, N + 1):
-                    lhs = SparsePoly.zero()
-                    rhs = SparsePoly.zero()
-                    for e in range(1, N + 1):
-                        f = h - e  # dual index under the flat pairing
-                        lhs = lhs + t3t3((a, b, e), (f, c, d))
-                        rhs = rhs + t3t3((a, c, e), (f, b, d))
-                    if lhs != rhs:
+                    # h - e is the dual index of e under the flat pairing
+                    lhs = [t3t3((a, b, e), (h - e, c, d)) for e in range(1, N + 1)]
+                    rhs = [t3t3((a, c, e), (h - e, b, d)) for e in range(1, N + 1)]
+                    # one sum of lhs - rhs; the two sides are formed only to report a failure
+                    if not poly_sum([(1, p) for p in lhs] + [(-1, p) for p in rhs]).is_zero():
                         return CheckReport(
                             claim=f"wdvv N={N}", passed=False,
                             witness={"indices": [a, b, c, d]},
-                            lhs=lhs.to_json(), rhs=rhs.to_json())
+                            lhs=poly_sum((1, p) for p in lhs).to_json(),
+                            rhs=poly_sum((1, p) for p in rhs).to_json())
     return CheckReport(claim=f"wdvv N={N}", passed=True)
 
 

@@ -25,9 +25,17 @@ raising :class:`NotRationalError` if an eta-part survives.
 ``SparsePoly(None, {mono: c})`` takes tuple monomials, and ``.terms`` is a
 read-only decoded view in the same form, for tests and output.
 
+A :class:`LambdaSeries` keeps the same packed monomials and ``int``
+numerators per lambda slot, over one denominator for the whole series: a
+product multiplies every pair of slots in one loop and runs one gcd, and
+:meth:`LambdaSeries.slot_part` forms one homogeneous part of one slot alone.
+
 No stored coefficient is ever zero: every sparse sum in the package, here
-and in ``rootsys`` and ``genus0``, goes through the one loop
-:func:`_accumulate`, which drops a key as soon as its sum is exactly zero.
+and in ``rootsys``, goes through the one loop :func:`_accumulate`, and
+every capped product through its form for ``int`` numerators,
+:func:`_add_products`; both drop a key as soon as its sum is exactly zero,
+as does the exact-degree pair loop of :meth:`LambdaSeries.slot_part`.
+:func:`poly_sum` adds integer multiples of polynomials over one lcm.
 """
 
 from __future__ import annotations
@@ -85,6 +93,26 @@ def _accumulate(terms: dict, items: Iterable[tuple], is_zero: Callable[[object],
         else:
             terms[key] = c
     return terms
+
+
+def _add_products(acc: dict, left: list, right: list) -> dict:
+    """Add c1 * c2 at k1 + k2 into ``acc`` for each left (k1, c1, room) and right
+    (k2, c2, degree) whose degree fits the room; a zero sum drops its key.
+
+    The pair loop of the capped products: :func:`_accumulate` for ``int``
+    numerators, with no (key, value) pair formed per product.
+    """
+    get = acc.get
+    for k1, c1, room in left:
+        for k2, c2, d2 in right:
+            if d2 <= room:
+                k = k1 + k2
+                c = get(k, 0) + c1 * c2
+                if c:
+                    acc[k] = c
+                else:
+                    del acc[k]
+    return acc
 
 
 def _degree_error(d: int) -> OverflowError:
@@ -194,17 +222,13 @@ class SparsePoly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        den = math.lcm(self.den, other.den)
-        ua, ub = den // self.den, den // other.den
-        num = {k: c * ua for k, c in self.num.items()} if ua != 1 else dict(self.num)
-        items = other.num.items() if ub == 1 else ((k, c * ub) for k, c in other.num.items())
-        return _make(_accumulate(num, items, not_), den)
+        return poly_sum(((1, self), (1, other)))
 
     def __neg__(self) -> "SparsePoly":
         return _poly({k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
+        return poly_sum(((1, self), (-1, other)))
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         return self._mul(other, None)
@@ -214,26 +238,21 @@ class SparsePoly:
         return self._mul(other, deg_cap)
 
     def _mul(self, other: "SparsePoly", deg_cap: int | None) -> "SparsePoly":
-        # the one product loop: with a cap, a monomial pair whose degrees
-        # sum past it is skipped before its coefficients are multiplied
+        # with a cap, a monomial pair whose degrees sum past it is skipped
+        # before its coefficients are multiplied
         a, b = self.num, other.num
         if not a or not b:
             return _poly({})
+        right = [(k, c, k & 255) for k, c in b.items()]
         if deg_cap is None or deg_cap > MAX_DEGREE:
             # a cap above the degree limit does not lift it
-            top = max(k & 255 for k in a) + max(k & 255 for k in b)
+            top = max(k & 255 for k in a) + max(d for _, _, d in right)
             if top > MAX_DEGREE:
                 raise _degree_error(top)
-            items = ((k1 + k2, c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items())
-        else:
-            right = [(k, c, k & 255) for k, c in b.items()]
-            low = min(d for _, _, d in right)
-            left = [(k, c, r) for k, c in a.items() if (r := deg_cap - (k & 255)) >= low]
-            if not left:  # the two lowest degrees already pass the cap
-                return _poly({})
-            items = ((k1 + k2, c1 * c2) for k1, c1, room in left
-                     for k2, c2, d2 in right if d2 <= room)
-        return _make(_accumulate({}, items, not_), self.den * other.den)
+            deg_cap = MAX_DEGREE
+        low = min(d for _, _, d in right)
+        left = [(k, c, r) for k, c in a.items() if (r := deg_cap - (k & 255)) >= low]
+        return _make(_add_products({}, left, right), self.den * other.den)
 
     def scale(self, c: Rat) -> "SparsePoly":
         if c == 0:
@@ -304,9 +323,13 @@ class SparsePoly:
     def to_json(self) -> dict:
         vars_ = self.variables()
         index = {v: i for i, v in enumerate(vars_)}
+        den = self.den
         terms = []
-        for mono, c in sorted(self.terms.items()):
-            terms.append({"exps": [[index[v], e] for v, e in mono], "coeff": rat_str(c)})
+        # each numerator over den is written in lowest terms, as rat_str writes a Fraction
+        for mono, c in sorted((_unpack(k), c) for k, c in self.num.items()):
+            g = math.gcd(c, den)
+            coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
+            terms.append({"exps": [[index[v], e] for v, e in mono], "coeff": coeff})
         return {"vars": [[v.m, v.a] for v in vars_], "terms": terms}
 
     @staticmethod
@@ -317,6 +340,18 @@ class SparsePoly:
             mono = tuple(sorted((vars_[i], int(e)) for i, e in t["exps"]))
             items.append((mono, parse_rat(t["coeff"])))
         return SparsePoly.from_terms(items)
+
+
+def poly_sum(parts: Iterable[tuple[int, SparsePoly]]) -> SparsePoly:
+    """The sum of c * poly over the ``(c, poly)`` parts, ``int`` c, over one lcm."""
+    parts = [(c, p) for c, p in parts if p.num]
+    den = math.lcm(*(p.den for _, p in parts))
+    num: dict[int, int] = {}
+    for c, p in parts:
+        up = c * (den // p.den)
+        items = p.num.items() if up == 1 else ((k, x * up) for k, x in p.num.items())
+        num = _accumulate(num, items, not_) if num else dict(items)
+    return _make(num, den)
 
 
 def weighted_sum(ctx: CycContext, parts: Iterable[tuple]) -> SparsePoly:
@@ -376,13 +411,28 @@ class LambdaSeries:
     ``terms`` maps the integer q to the coefficient of lambda^(q/h).  The
     residue is the coefficient at q = -h, i.e. of lambda^(-1); fractional
     slots never carry residue.
+
+    The series is stored as ``slots``, which maps each q with a nonzero
+    coefficient to packed monomial keys and ``int`` numerators over the one
+    positive denominator ``den`` of the whole series, in lowest terms.  A
+    product therefore forms no :class:`SparsePoly` per pair of slots and runs
+    one gcd; ``terms`` and :meth:`coefficient` put a slot in lowest terms of
+    its own when they decode it.
     """
 
-    __slots__ = ("h", "terms")
+    __slots__ = ("h", "slots", "den")
 
-    def __init__(self, h: int, terms: dict[int, SparsePoly]):
-        self.h = h
-        self.terms = {q: p for q, p in terms.items() if not p.is_zero()}
+    def __init__(self, h: int, terms: Mapping[int, SparsePoly]):
+        # each coefficient is in lowest terms, so over their lcm the series is too
+        terms = [(q, p) for q, p in terms.items() if p.num]
+        den = math.lcm(*(p.den for _, p in terms))
+        self.h, self.den = h, den
+        self.slots = {q: {k: c * (den // p.den) for k, c in p.num.items()} for q, p in terms}
+
+    @property
+    def terms(self) -> dict[int, SparsePoly]:
+        den = self.den
+        return {q: _make(num, den) for q, num in self.slots.items()}
 
     def mul_capped(self, other: "LambdaSeries", deg_cap: int | None = None,
                    window: tuple[int, int] | None = None) -> "LambdaSeries":
@@ -390,25 +440,78 @@ class LambdaSeries:
 
         With ``window = (lo, hi)`` only the slots lo <= q <= hi are formed: a
         pair of slots whose exponents sum outside the window is skipped before
-        its polynomial product is taken, as the degree cap skips monomial pairs.
+        any of its coefficients is multiplied, as the degree cap skips monomial
+        pairs.  All pairs of slots meet in one loop over one denominator.
         """
         if self.h != other.h:
             raise DomainMismatchError("lambda-series with different h")
-        prods = ((q1 + q2, p1._mul(p2, deg_cap)) for q1, p1 in self.terms.items()
-                 for q2, p2 in other.terms.items()
-                 if window is None or window[0] <= q1 + q2 <= window[1])
-        return LambdaSeries(self.h, _accumulate({}, prods, SparsePoly.is_zero))
+        a, b = self.slots, other.slots
+        if deg_cap is None or deg_cap > MAX_DEGREE:
+            # a cap above the degree limit does not lift it
+            top = (max((k & 255 for num in a.values() for k in num), default=0)
+                   + max((k & 255 for num in b.values() for k in num), default=0))
+            if top > MAX_DEGREE:
+                raise _degree_error(top)
+            deg_cap = MAX_DEGREE
+        lo, hi = window if window is not None else (-math.inf, math.inf)
+        rows = {q2: [(k, c, k & 255) for k, c in num2.items()] for q2, num2 in b.items()}
+        out: dict[int, dict[int, int]] = {}
+        for q1, num1 in a.items():
+            left = [(k, c, deg_cap - (k & 255)) for k, c in num1.items()]
+            for q2, right in rows.items():
+                q = q1 + q2
+                if lo <= q <= hi:
+                    _add_products(out.setdefault(q, {}), left, right)
+        # one gcd over every numerator of every slot puts the product in lowest terms
+        out = {q: num for q, num in out.items() if num}
+        den = self.den * other.den
+        g = math.gcd(den, *(c for num in out.values() for c in num.values()))
+        s = object.__new__(LambdaSeries)
+        s.h, s.den = self.h, den // g
+        s.slots = out if g == 1 else {q: {k: c // g for k, c in num.items()}
+                                      for q, num in out.items()}
+        return s
+
+    def slot_part(self, other: "LambdaSeries", q: int, d: int) -> SparsePoly:
+        """The degree-d part of the lambda^(q/h) coefficient of ``self * other``.
+
+        Only that one coefficient is formed: each monomial of a slot q1 of
+        ``self`` meets the monomials of degree exactly d minus its own in slot
+        q - q1 of ``other``, and nothing else is multiplied.
+        """
+        if self.h != other.h:
+            raise DomainMismatchError("lambda-series with different h")
+        b = other.slots
+        num: dict[int, int] = {}
+        for q1, num1 in self.slots.items():
+            num2 = b.get(q - q1)
+            if num2 is None:
+                continue
+            by_degree: dict[int, list[tuple[int, int]]] = {}
+            for k2, c2 in num2.items():
+                by_degree.setdefault(k2 & 255, []).append((k2, c2))
+            get = num.get
+            for k1, c1 in num1.items():
+                for k2, c2 in by_degree.get(d - (k1 & 255), ()):
+                    k = k1 + k2
+                    c = get(k, 0) + c1 * c2
+                    if c:
+                        num[k] = c
+                    else:
+                        del num[k]
+        return _make(num, self.den * other.den)
 
     def coefficient(self, q: int) -> SparsePoly:
-        return self.terms.get(q, SparsePoly.zero())
+        num = self.slots.get(q)
+        return SparsePoly.zero() if num is None else _make(num, self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.slots
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LambdaSeries):
             return NotImplemented
-        return self.h == other.h and self.terms == other.terms
+        return self.h == other.h and self.den == other.den and self.slots == other.slots
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -9,8 +9,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anrec.cli import main
+import anrec.cli
+from anrec.cli import _indented_json, main
 
 
 def run(capsys, *argv):
@@ -338,13 +341,17 @@ def test_rank_one_genus_six_descendant_content_hash(capsys):
      "715b8bb8a68d1d85f11758cfa943ee94086bacc23c3f1c18d360061f5b8449c3"),
     (("--n", "3", "--degree", "8", "--m-in", "1"),
      "61cc6244a464c57a7176c745afdf92ff885d351809ac77edfab62f83bb9351a1"),
+    (("--n", "4", "--degree", "9", "--m-in", "1"),
+     "18b85990410847b49336cefa8fc17d9f5783a6b99a748e0b03e6228cefd100f1"),
 ])
 def test_genus0_potential_content_hash(capsys, argv, digest):
     # genus-zero tables, primary and descendant: a faster recursion or
-    # product must reproduce these bytes exactly
+    # product must reproduce these bytes exactly, and pass its exactness check
     code, out, _ = run(capsys, "potential", "--genus", "0", *argv, "--format", "json")
     assert code == 0
-    assert json.loads(out)["content_hash"] == digest
+    data = json.loads(out)
+    assert data["checks"]["exactness"]["pass"] is True
+    assert data["content_hash"] == digest
 
 
 @pytest.mark.parametrize("argv, count, digest", [
@@ -482,3 +489,77 @@ def test_unwritable_stdout_exits_2_without_traceback():
         proc = _cli_process("constants", "--h", "3", "--tuple", "1", stdout=full)
     assert proc.returncode == 2
     assert proc.stderr == f"cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+# -- the indented JSON writer ---------------------------------------------------
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_KEYS = st.text(max_size=6) | st.sampled_from(["", "\"", "\\", "\n\t\x00", "é", "\u2028", "😀"])
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 300, 2 ** 300)
+           | st.floats() | st.text() | _KEYS)
+
+
+def _trees(keys=_KEYS):
+    return st.recursive(_LEAVES, lambda kids: (st.lists(kids, max_size=4)
+                                               | st.lists(kids, max_size=4).map(tuple)
+                                               | st.dictionaries(keys, kids, max_size=4)),
+                        max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_trees())
+def test_indented_writer_matches_json_dumps(tree):
+    # nested containers, empty ones, escaped and non-ASCII strings and keys,
+    # True/False before int, None, big ints and floats: the same bytes
+    assert _indented_json(tree) == _dumps(tree)
+
+
+def _outcome(write, obj):
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=_trees(st.integers(-9, 9) | st.booleans() | st.none() | st.floats(-9, 9)))
+def test_indented_writer_leaves_other_keys_to_json_dumps(tree):
+    # a dict with keys json.dumps converts is written as json.dumps writes
+    # it, and keys it cannot sort are refused as json.dumps refuses them
+    assert _outcome(_indented_json, {"top": [tree]}) == _outcome(_dumps, {"top": [tree]})
+
+
+@pytest.mark.parametrize("bad", [{"a": {1, 2}}, [object()], {"a": 1, 2: "b"}])
+def test_indented_writer_refuses_what_json_dumps_refuses(bad):
+    assert _outcome(_dumps, bad) is TypeError
+    assert _outcome(_indented_json, bad) is TypeError
+
+
+def _workload_jobs(monkeypatch):
+    # the job lists of the benchmark's four workloads, from their one definition
+    import importlib
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    return [job for name in workloads.WORKLOADS for job in workloads.jobs(name, 0) if job.argv]
+
+
+def test_indented_writer_on_every_benchmark_payload(capsys, monkeypatch):
+    payloads = []
+
+    def recorded(obj, pad="\n"):
+        if pad == "\n":  # the payload itself, not one of its members
+            payloads.append(obj)
+        return _indented_json(obj, pad)
+
+    jobs = _workload_jobs(monkeypatch)
+    monkeypatch.setattr(anrec.cli, "_indented_json", recorded)
+    for job in jobs:
+        main(list(job.argv) + ["--format", "json"])
+        capsys.readouterr()
+    assert len(payloads) == len(jobs) > 0
+    for payload in payloads:
+        assert _indented_json(payload) == _dumps(payload)

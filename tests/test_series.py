@@ -216,32 +216,62 @@ def test_windowed_lambda_product_is_restricted_product(coeff, data):
     assert a.mul_capped(b, cap, (lo, hi)) == expect
 
 
-def test_windowed_lambda_product_edges(monkeypatch):
+class _CountedInt(int):
+    """An int numerator that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedInt.products += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def _counted(series):
+    # the same series with numerators that count every product they enter
+    series.slots = {q: {k: _CountedInt(c) for k, c in num.items()}
+                    for q, num in series.slots.items()}
+    return series
+
+
+def test_windowed_lambda_product_edges():
     h = 3
     t1, t2 = x(0, 1), x(0, 2)
-    a = LambdaSeries(h, {0: t1, -h: t2})
-    b = LambdaSeries(h, {h: t2, -2: t1})
+    a = _counted(LambdaSeries(h, {0: t1, -h: t2}))
+    b = _counted(LambdaSeries(h, {h: t2, -2: t1}))
     full = a.mul_capped(b)  # slots h, -2, 0 and -h-2
     assert sorted(full.terms) == [-h - 2, -2, 0, h]
     only = LambdaSeries(h, {-2: t1 * t1})
-    formed = [0]
-    mul = SparsePoly._mul
-
-    def counted(self, other, cap):
-        formed[0] += 1
-        return mul(self, other, cap)
-
-    monkeypatch.setattr(SparsePoly, "_mul", counted)
-    # a one-slot window forms the one pair that lands there
+    _CountedInt.products = 0
+    # a one-slot window multiplies the one pair of slots that lands there
     assert a.mul_capped(b, None, (-2, -2)) == only
-    assert formed[0] == 1
-    # the empty window, and windows that miss every slot, form nothing
+    assert _CountedInt.products == 1
+    # the empty window, and windows that miss every slot, multiply nothing
     for window in [(1, 0), (-1, -1), (h + 1, 3 * h), (-5 * h, -h - 3)]:
         assert a.mul_capped(b, None, window).is_zero()
-    assert formed[0] == 1
-    # a window over every slot is the plain product, and the degree cap still applies
+    assert _CountedInt.products == 1
+    # so does a degree cap below every pair, even over every slot
     assert a.mul_capped(b, 1, (-h - 2, h)).is_zero()
+    assert _CountedInt.products == 1
+    # a window over every slot is the plain product
     assert a.mul_capped(b, None, (-h - 2, h)) == full
+    # the read of one coefficient multiplies only the pairs that close it
+    _CountedInt.products = 0
+    assert a.slot_part(b, -2, 2) == t1 * t1
+    assert _CountedInt.products == 1
+    assert a.slot_part(b, -2, 3).is_zero() and a.slot_part(b, 1, 2).is_zero()
+    assert _CountedInt.products == 1
+
+
+@_over_q(_RAT)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_slot_part_is_one_coefficient_of_the_product(coeff, data):
+    h = _CTX.h
+    a, b = data.draw(_lambda_series(coeff, h)), data.draw(_lambda_series(coeff, h))
+    q, d = data.draw(st.integers(-4 * h, 2 * h)), data.draw(st.integers(-1, 13))
+    assert a.slot_part(b, q, d) == a.mul_capped(b).coefficient(q).homo_part(d)
 
 
 # -- the one accumulate loop stores no zero ----------------------------------------
