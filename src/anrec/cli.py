@@ -40,7 +40,7 @@ from .combinatorics import (
     verify_symc_generating,
 )
 from .exactnum import NotRationalError, rat_str
-from .genus0 import Profile, WellFoundednessError, euler_check, solve, wdvv_check
+from .genus0 import Profile, WellFoundednessError, solve
 from .recursion import ConsistencyError, solve_recursion, wconstraint_report
 from .reporting import CheckReport, SuiteReport
 from .rootsys import RootData, cbracket_state, elem_sym_state, vandermonde_coeff
@@ -268,13 +268,13 @@ def cmd_verify(args) -> int:
         # no index quadruple below rank 2, no third-derivative product below degree 3
         if rd.N >= 2 and args.degree >= 3:
             pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
-            results.append(wdvv_check(args.n, pot.F, args.degree))
+            results.append(pot.checks["wdvv"])
     elif suite == "euler":
         config["degree"] = args.degree
         # the potential starts cubic: below degree 3 there is no monomial to weigh
         if args.degree >= 3:
             pot = solve(rd, Profile(N=args.n, m_in=0, D=args.degree))
-            results.append(euler_check(args.n, pot.F))
+            results.append(pot.checks["euler"])
     elif suite == "wconstraint":
         config.update({"degree": args.degree, "genus": args.genus, "cap": args.cap})
         table = solve_recursion(rd, args.genus, args.degree, m_in=args.m_in)

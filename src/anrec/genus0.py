@@ -308,11 +308,8 @@ def euler_potential(vs: list[Var], one_point, deg_cap: int) -> SparsePoly:
     """
     acc = SparsePoly.zero()
     for d in range(1, deg_cap + 1):
-        part = SparsePoly.zero()
-        for v in vs:
-            sl = one_point(v, d - 1)
-            if not sl.is_zero():
-                part = part + SparsePoly.variable(v) * sl
+        part = poly_sum((1, SparsePoly.variable(v) * sl) for v in vs
+                        if not (sl := one_point(v, d - 1)).is_zero())
         acc = acc + part.scale(Fraction(1, d))
     return acc
 

@@ -462,52 +462,43 @@ class DescendantSolver:
         its input count lies in the inclusive range ``inputs`` and its
         slacks sum to ``q_residue`` mod h and to at least ``q_residue``
         (every derivative mode a level >= 0); without derivative modes, to
-        ``q_residue`` exactly, and only if the unit ``closes``.  A
-        branch stops once it has too many inputs, or the slots left cannot
-        add enough inputs (``room``) or slack (``reach``).  The last two
-        slots are read from ``tail`` where a choice closes the gap mod h and
-        keeps n in range, down to the first choice too small to close it.
+        ``q_residue`` exactly, and only if the unit ``closes``.  The walk
+        recurses over the slots before the last two; a branch stops once it
+        has too many inputs, or the slots left cannot add enough inputs
+        (``room``) or slack (``reach``).  Its base case reads the last two
+        slots from ``tail`` where a choice closes the gap mod h and keeps n
+        in range, down to the first choice too small to close it.
         """
         lo, hi = inputs
         leaves: dict[tuple[int, int], int] = {}
         if reach[0] < q_residue or room[0] < lo:
             return leaves
         h = self.rd.h
-        # head[j] is slot j - 1, after a slot whose single row adds nothing,
-        # so that reach[j] and room[j] bound the slots after head[j]
-        head = [((0, 0, 0),), *rows[:-2]]
-        inner = len(head) - 1
+        last = max(len(rows) - 2, 0)  # the slot where the tail begins
         has_modes = 255 << _MODE_SHIFT
         fits = _fits(lo, hi)
 
         def walk(j: int, s: int, n: int, tag: int) -> None:
-            ahead, more = reach[j], room[j]
-            if j < inner:
-                for sl, x, t in head[j]:
+            if j < last:
+                ahead, more = reach[j + 1], room[j + 1]
+                for sl, x, t in rows[j]:
                     if s + sl + ahead < q_residue:
                         break
                     if n + x <= hi and lo <= n + x + more:
                         walk(j + 1, s + sl, n + x, tag + t)
                 return
-            for sl, x, t in head[j]:
-                s_mid = s + sl
-                if s_mid + ahead < q_residue:
-                    break
-                n_mid = n + x
-                if n_mid > hi or n_mid + more < lo:
-                    continue
-                t_mid = tag + t
-                for x in fits[n_mid]:
-                    for sl, t in tail[x].get((q_residue - s_mid) % h, ()):
-                        s_end = s_mid + sl
-                        if s_end < q_residue:
-                            break
-                        t += t_mid
-                        if t & has_modes or (closes and s_end == q_residue):
-                            leaf = (t, s_end)
-                            leaves[leaf] = leaves.get(leaf, 0) + 1
+            for x in fits[n]:
+                for sl, t in tail[x].get((q_residue - s) % h, ()):
+                    s_end = s + sl
+                    if s_end < q_residue:
+                        break
+                    t += tag
+                    if t & has_modes or (closes and s_end == q_residue):
+                        leaf = (t, s_end)
+                        leaves[leaf] = leaves.get(leaf, 0) + 1
 
         walk(0, 0, 0, 0)
+        del walk  # the closure holds itself through its cell: free it now, not at a collection
         return leaves
 
     def _close(self, records: dict, grades: tuple[int, int], degrees: tuple[int, int]):

@@ -14,8 +14,9 @@ first meets its variables; everything that leaves the module decodes them
 and sorts.  A monomial product is one integer addition, the degree of a key
 is ``key & 255``, and a derivative subtracts the variable's byte and one
 degree.  Degrees are limited to ``MAX_DEGREE`` = 255, so no byte ever
-carries into the next; a monomial or product past it raises
-``OverflowError``.
+carries into the next; a monomial past it raises ``OverflowError``, and so
+does a product with no cap within the limit whose top degrees sum past it
+(the one rule :func:`_degree_limit`, for every product).
 Coefficients are rational: ``int`` numerators over one positive
 denominator, in lowest terms (zero is no terms over 1), so ``==`` compares
 the stored integers and no ``Fraction`` is formed by a product, sum or
@@ -117,6 +118,18 @@ def _add_products(acc: dict, left: list, right: list) -> dict:
 
 def _degree_error(d: int) -> OverflowError:
     return OverflowError(f"monomial degree {d} exceeds the limit {MAX_DEGREE}")
+
+
+def _degree_limit(left: Iterable[int], right: Iterable[int]) -> int:
+    """``MAX_DEGREE``, the cap of a product of the packed keys ``left`` and ``right``
+    that has no cap of its own or one above the limit, which does not lift it.
+
+    A product whose top degrees sum past the limit raises ``OverflowError``.
+    """
+    top = max((k & 255 for k in left), default=0) + max((k & 255 for k in right), default=0)
+    if top > MAX_DEGREE:
+        raise _degree_error(top)
+    return MAX_DEGREE
 
 
 def _shift(v: Var) -> int:
@@ -230,29 +243,19 @@ class SparsePoly:
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return poly_sum(((1, self), (-1, other)))
 
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        return self._mul(other, None)
-
     def mul_capped(self, other: "SparsePoly", deg_cap: int | None = None) -> "SparsePoly":
         """Product truncated to total degree <= deg_cap; dropped terms are never formed."""
-        return self._mul(other, deg_cap)
-
-    def _mul(self, other: "SparsePoly", deg_cap: int | None) -> "SparsePoly":
-        # with a cap, a monomial pair whose degrees sum past it is skipped
-        # before its coefficients are multiplied
         a, b = self.num, other.num
         if not a or not b:
             return _poly({})
-        right = [(k, c, k & 255) for k, c in b.items()]
         if deg_cap is None or deg_cap > MAX_DEGREE:
-            # a cap above the degree limit does not lift it
-            top = max(k & 255 for k in a) + max(d for _, _, d in right)
-            if top > MAX_DEGREE:
-                raise _degree_error(top)
-            deg_cap = MAX_DEGREE
+            deg_cap = _degree_limit(a, b)
+        right = [(k, c, k & 255) for k, c in b.items()]
         low = min(d for _, _, d in right)
         left = [(k, c, r) for k, c in a.items() if (r := deg_cap - (k & 255)) >= low]
         return _make(_add_products({}, left, right), self.den * other.den)
+
+    __mul__ = mul_capped
 
     def scale(self, c: Rat) -> "SparsePoly":
         if c == 0:
@@ -379,10 +382,7 @@ def weighted_sum(ctx: CycContext, parts: Iterable[tuple]) -> SparsePoly:
         row = [(i, x * f) for i, x in enumerate(s.num) if x]
         items = [(k * d + i, c * x) for k, c in poly.num.items() for i, x in row]
         if blocks is not None:
-            if poly.num and blocks.num:
-                top = max(k & 255 for k in poly.num) + max(k & 255 for k in blocks.num)
-                if top > MAX_DEGREE:
-                    raise _degree_error(top)
+            _degree_limit(poly.num, blocks.num)
             den *= blocks.den
             folded = items  # the scalar row times each monomial of poly
             items = ((k * d + j, c * y) for k, c in blocks.num.items() for j, y in folded)
@@ -447,12 +447,8 @@ class LambdaSeries:
             raise DomainMismatchError("lambda-series with different h")
         a, b = self.slots, other.slots
         if deg_cap is None or deg_cap > MAX_DEGREE:
-            # a cap above the degree limit does not lift it
-            top = (max((k & 255 for num in a.values() for k in num), default=0)
-                   + max((k & 255 for num in b.values() for k in num), default=0))
-            if top > MAX_DEGREE:
-                raise _degree_error(top)
-            deg_cap = MAX_DEGREE
+            deg_cap = _degree_limit((k for num in a.values() for k in num),
+                                    (k for num in b.values() for k in num))
         lo, hi = window if window is not None else (-math.inf, math.inf)
         rows = {q2: [(k, c, k & 255) for k, c in num2.items()] for q2, num2 in b.items()}
         out: dict[int, dict[int, int]] = {}

@@ -234,6 +234,27 @@ def test_potential_exits_1_on_a_failing_stamped_verdict(capsys, monkeypatch):
     assert checks["euler"]["pass"] is True
 
 
+@pytest.mark.parametrize("suite, check", [("wdvv", "wdvv_check"), ("euler", "euler_check")])
+def test_verify_genus0_suite_runs_its_check_once(capsys, monkeypatch, suite, check):
+    # the solve already stamps the suite's verdict, which the suite reports
+    # as it is rather than checking the same potential again
+    import anrec.genus0
+    calls = []
+    checked = getattr(anrec.genus0, check)
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(anrec.genus0, check, counted)
+    monkeypatch.setattr(anrec.cli, check, counted, raising=False)
+    code, out, _ = run(capsys, "verify", suite, "--n", "3", "--degree", "5",
+                       "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+    assert [r["pass"] for r in json.loads(out)["results"]] == [True]
+
+
 def _corrupt_genus0_slice(monkeypatch, key, extra):
     # add ``extra`` to the genus-0 slice p_{m,a} of degree d, key = (m, a, d)
     from anrec.genus0 import G0Solver
@@ -328,6 +349,34 @@ def test_rank_one_genus_six_descendant_content_hash(capsys):
     assert code == 0
     assert json.loads(out)["content_hash"] == \
         "86889c99b53bc282606e570064a760d6679b10a40bda944d695c21fc8f820dc3"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--n", "4", "--genus", "1", "--degree", "6", "--m-in", "1"),
+     "9e26558cb408ad9cfc93e4a497e91325821b5fae2a57230119bc3b86465e227b"),
+    (("--n", "3", "--genus", "2", "--degree", "7", "--m-in", "1"),
+     "c45680b341ed9b328300ed6a6748a0ae8a0d2bd06dc142e42965e8ad193db00d"),
+    (("--n", "5", "--genus", "1", "--degree", "4", "--m-in", "1"),
+     "e055ea0e002eabec34c0d5e4a9ecfc3132abe658ff6d2aebe5a86a7c0cb5a979"),
+], ids=["n4-g1-d6", "n3-g2-d7", "n5-g1-d4"])
+def test_higher_genus_descendant_content_hash(capsys, argv, digest):
+    # descendant tables at ranks 3 to 5 and genus 1 and 2, all through the
+    # cluster walk: a faster or simpler walk must reproduce these bytes exactly
+    code, out, _ = run(capsys, "potential", *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["content_hash"] == digest
+
+
+def test_vandermonde_suite_content_hash(capsys):
+    # 100 seeded trials at h=30: every check passes, with these exact bytes
+    code, out, _ = run(capsys, "verify", "vandermonde", "--h", "30", "--trials", "100",
+                       "--seed", "0", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] and len(data["results"]) == 100
+    assert all(r["pass"] for r in data["results"])
+    assert data["content_hash"] == \
+        "47ab4a17ff07e97a2e960e4eb8cffcf913676bdf9cfa72f7a285b2639d30f4a5"
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -1,5 +1,6 @@
 """Higher-genus engine: propagators, pairings, correlators, residuals."""
 
+import gc
 import math
 from collections import Counter
 from fractions import Fraction
@@ -407,6 +408,18 @@ def test_fused_walk_matches_full_product(N, genus, degree, m_in):
             assert solver._walk(q_units, (0, genus), (0, cap)) == want, (labels, m)
             compared["residual"] += _kept(want)
     assert compared["group"] > 0 and compared["residual"] > 0
+
+
+def test_walk_leaves_no_reference_cycle():
+    # every walk frees what it built as soon as it returns: with the cycle
+    # collector off, a solve leaves nothing for it to find
+    gc.disable()
+    try:
+        gc.collect()
+        solve_recursion(RootData(3), 1, 5, m_in=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _singleton_parts(solver, units, g, d):
