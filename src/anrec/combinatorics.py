@@ -13,10 +13,12 @@ gives 1, and the value is 0 once r > h - 1).  Each product factorises as
 
 where J = {j_1 < ... < j_r} and <J, a> = sum_s j_s a_s.  D_J depends on the
 index set alone, and eta^(-<J, a>) only on <J, a> mod h, so every term of C
-is a rotated subset product eta^s * D_J read from the per-root-system memo
-of :mod:`anrec.rootsys` (:func:`anrec.rootsys.subset_product`): evaluating C
-is one pass that adds the integer numerators of these terms and normalises
-the sum once, with no field product.
+is a rotated subset product eta^s * D_J, s = -<J, a> mod h.  One table per
+root system and size r lists every r-subset J of 1..h-1 with D_J, read from
+the memo of :mod:`anrec.rootsys` (:func:`anrec.rootsys.subset_product`), and
+its rotations as integer numerators over L_r, the lcm of the denominators
+of all D_J, each formed the first time a tuple asks for it.  C is then one
+pass that adds integer rows and normalises once, with no scalar per term.
 
 SymC symmetrises C over the distinct permutations of a multiset, and the
 bracket constant C[...] removes one copy of each distinct value:
@@ -37,7 +39,7 @@ import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .exactnum import CycScalar
+from .exactnum import CycScalar, _norm
 from .reporting import CheckReport
 from .rootsys import RootData, _rotated, _subset_table
 from .series import YPoly
@@ -46,11 +48,13 @@ from .series import YPoly
 class _Memo:
     """What this module keeps for one root system."""
 
-    __slots__ = ("sym", "bracket")
+    __slots__ = ("sym", "bracket", "sizes")
 
     def __init__(self):
         self.sym: dict[tuple[int, ...], CycScalar] = {}
         self.bracket: dict[tuple[int, ...], CycScalar] = {}
+        # size r -> (L_r, [(J, D_J, its h rotations as numerators over L_r)])
+        self.sizes: dict[int, tuple[int, list]] = {}
 
 
 # keyed weakly, so each memo is dropped together with its RootData
@@ -70,12 +74,24 @@ def _check_entries(rd: RootData, tup: tuple[int, ...]) -> None:
             raise ValueError(f"tuple entry {a} out of range 1..{rd.h - 1}")
 
 
+def _size_table(rd: RootData, r: int):
+    sizes = _memo(rd).sizes
+    got = sizes.get(r)
+    if got is None:
+        table = _subset_table(rd)
+        sets = [(js, _rotated(rd, table, js, 0)) for js in combinations(range(1, rd.h), r)]
+        got = sizes[r] = (math.lcm(*(d.den for _, d in sets)),
+                          [(js, d, [None] * rd.h) for js, d in sets])
+    return got
+
+
 def c_const(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
     """The ordered tuple constant C(a_1, ..., a_r).
 
     Sums the rotated subset product eta^(-<J, a>) * D_J over the index sets
-    J (see the module docstring).  This is the definition of C that the
-    ``verify_*`` identities and the brute-force tests read.  Not memoised:
+    J as integer rows of the per-size table (see the module docstring).
+    This is the definition of C that the ``verify_*`` identities and the
+    brute-force tests read.  The values are not memoised, only the table:
     its callers, the genus-zero multiset weights and the memoised
     :func:`sym_c`, ask for each ordered tuple once.
     """
@@ -87,18 +103,35 @@ def c_const(rd: RootData, tup: tuple[int, ...]) -> CycScalar:
     h = rd.h
     if r > h - 1:
         return rd.ctx.zero  # no strictly increasing index tuples exist
-    table = _subset_table(rd)
-    return rd.ctx.sum(_rotated(rd, table, js, -sum(map(operator.mul, js, tup)) % h)
-                      for js in combinations(range(1, h), r))
+    den, entries = _size_table(rd, r)
+    rows = []
+    for js, d, rotations in entries:
+        s = -sum(map(operator.mul, js, tup)) % h
+        row = rotations[s]
+        if row is None:
+            up = den // d.den
+            row = rotations[s] = tuple(a * up for a in d.rotate(s).num)
+        rows.append(row)
+    return _norm(rd.ctx, [sum(col) for col in zip(*rows)], den)
 
 
 def _distinct_permutations(tup: tuple[int, ...]):
-    # small tuples only; dedupe through a set of seen arrangements
-    seen = set()
-    for p in permutations(tup):
-        if p not in seen:
-            seen.add(p)
-            yield p
+    # the distinct arrangements in lexicographic order: step from the sorted
+    # one to the next larger one until the arrangement is non-increasing
+    p = sorted(tup)
+    n = len(p)
+    while True:
+        yield tuple(p)
+        i = n - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = reversed(p[i + 1:])
 
 
 def sym_c(rd: RootData, tup: tuple[int, ...]) -> CycScalar:

@@ -28,8 +28,8 @@ skip the general product and the per-step gcd:
 
 An inverse is the product of the other Galois conjugates (eta -> eta^k,
 k a unit mod h) divided by the norm, a nonzero integer.
-``CycScalar.coeffs`` gives the coefficients as ``Fraction``s for display
-and serialisation.
+``CycScalar.coeffs`` gives the coefficients as ``Fraction``s for display;
+``to_json`` writes them from the numerators and the denominator directly.
 
 Complex floating evaluation exists only as a diagnostic
 (:meth:`CycScalar.approx`) and is never fed back into exact arithmetic.
@@ -62,6 +62,12 @@ class ContextMismatchError(ValueError):
 def rat_str(q: Rat) -> str:
     """Render p/q, or just p when the denominator is 1."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den over a positive den in lowest terms, as :func:`rat_str` writes it."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def parse_rat(s: str) -> Rat:
@@ -395,7 +401,8 @@ class CycScalar:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> dict:
-        return {"h": self.ctx.h, "coeffs": [rat_str(c) for c in self.coeffs]}
+        den = self.den
+        return {"h": self.ctx.h, "coeffs": [_ratio_str(n, den) for n in self.num]}
 
     @staticmethod
     def from_json(data: dict) -> "CycScalar":

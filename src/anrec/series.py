@@ -54,6 +54,7 @@ from .exactnum import (
     NotRationalError,
     Rat,
     _norm,
+    _ratio_str,
     parse_rat,
     rat_str,
 )
@@ -328,11 +329,9 @@ class SparsePoly:
         index = {v: i for i, v in enumerate(vars_)}
         den = self.den
         terms = []
-        # each numerator over den is written in lowest terms, as rat_str writes a Fraction
         for mono, c in sorted((_unpack(k), c) for k, c in self.num.items()):
-            g = math.gcd(c, den)
-            coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
-            terms.append({"exps": [[index[v], e] for v, e in mono], "coeff": coeff})
+            terms.append({"exps": [[index[v], e] for v, e in mono],
+                          "coeff": _ratio_str(c, den)})
         return {"vars": [[v.m, v.a] for v in vars_], "terms": terms}
 
     @staticmethod

@@ -380,6 +380,28 @@ def test_vandermonde_suite_content_hash(capsys):
 
 
 @pytest.mark.parametrize("argv, digest", [
+    (("verify", "symstate", "--h", "7"),
+     "a6e993ed6370bc853cd2170011b95fd53321386ceb6cf5b76632aa8ac51ad46c"),
+    (("verify", "cbracket-gen", "--h", "7"),
+     "b15a0f21efe349724d84875503381649ebf368ec26b4fcda584ad6162037f000"),
+    (("verify", "symc-gen", "--h", "6"),
+     "ae03ff1efd82967d98fc795ffffdfcf0bce5587d0b0688304e60f77762f80da1"),
+    (("verify", "remove-n", "--h", "8", "--trials", "100", "--seed", "0"),
+     "a8e2d5bc6fd3b619c79c086b8faf0c5f89d7109ec494561f95f1835bf13bc8ff"),
+    (("constants", "--h", "11", "--tuple", "1,2,3,4,5"),
+     "65dcd790a6543ad2974f4d6d76d02af36f4d613f646048255bdbeda87e86c945"),
+], ids=["symstate-h7", "cbracket-gen-h7", "symc-gen-h6", "remove-n-h8", "constants-h11"])
+def test_identity_suite_content_hash(capsys, argv, digest):
+    # the C, SymC and C[...] suites and a constants table: a faster kernel
+    # for the tuple constants must reproduce these bytes exactly
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data.get("pass", True) is True
+    assert data["content_hash"] == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
     (("--n", "5", "--degree", "7"),
      "78e5309b95c5ef87fcc7fe6f85fb24960622406bd641f9cbf9a845bb9fc4697e"),
     (("--n", "2", "--degree", "7", "--m-in", "2"),

@@ -4,7 +4,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 from itertools import product as iproduct
 
 import pytest
@@ -87,6 +87,26 @@ def test_c_const_matches_its_definition_at_large_h(case):
     h, tup = case
     rd = RootData(h - 1)
     assert c_const(rd, tup) == _c_by_definition(rd, tup)
+
+
+def test_lone_query_forms_one_rotation_per_index_set():
+    # the per-size table of C forms a rotation only when a tuple asks for it
+    rd = RootData(29)
+    c_const(rd, (1, 2, 3))
+    den, entries = combinatorics._memo(rd).sizes[3]
+    assert len(entries) == len(list(combinations(range(1, 30), 3)))
+    assert all(sum(row is not None for row in rotations) <= 1
+               for _, _, rotations in entries)
+    assert all(den % d.den == 0 for _, d, _ in entries)
+
+
+def test_distinct_permutations_are_the_sorted_distinct_arrangements():
+    for r in range(7):
+        for multiset in combinations_with_replacement(range(1, 5), r):
+            want = sorted(set(permutations(multiset)))
+            assert list(combinatorics._distinct_permutations(multiset)) == want
+            # the order the entries come in does not matter
+            assert list(combinatorics._distinct_permutations(multiset[::-1])) == want
 
 
 def test_sym_c(rd4):
@@ -207,18 +227,22 @@ def test_memos_live_and_die_with_their_root_data():
     memo = combinatorics._MEMOS[rd]
     # the subset products behind C live in rootsys, the layer below
     subsets = rootsys._SUBSETS[rd]
-    assert memo.sym and memo.bracket and subsets
+    # the per-size tables of C live in this module's memo
+    sizes = memo.sizes
+    assert memo.sym and memo.bracket and sizes and subsets
     ref = weakref.ref(rd)
     del rd
     gc.collect()
     # neither memo keeps its root system alive, and both go with it
     assert ref() is None
-    assert all(other is not memo for other in combinatorics._MEMOS.values())
+    assert all(other is not memo and other.sizes is not sizes
+               for other in combinatorics._MEMOS.values())
     assert all(other is not subsets for other in rootsys._SUBSETS.values())
     # a new root system of the same rank starts cold and agrees
     fresh = RootData(3)
     assert fresh not in combinatorics._MEMOS and fresh not in rootsys._SUBSETS
     assert (sym_c(fresh, (1, 2)), c_bracket(fresh, (1, 3))) == first
+    assert combinatorics._MEMOS[fresh].sizes.keys() == sizes.keys()
 
 
 def test_root_data_carries_no_cache():

@@ -275,6 +275,27 @@ def test_mixed_denominators_serialise_reduced():
     assert y.to_json() == {"h": 3, "coeffs": ["1", "1/3"]}
 
 
+def _coeffs_by_fraction(x):
+    return [rat_str(c) for c in x.coeffs]
+
+
+def test_to_json_writes_coefficients_as_rat_str():
+    ctx = cyc_context(5)
+    # negative, zero and whole numerators over one denominator
+    x = CycScalar(ctx, (Fraction(-3, 4), Fraction(0), Fraction(1, 6), Fraction(-2)))
+    assert x.to_json() == {"h": 5, "coeffs": _coeffs_by_fraction(x)} == \
+        {"h": 5, "coeffs": ["-3/4", "0", "1/6", "-2"]}
+    assert ctx.zero.to_json()["coeffs"] == ["0"] * 4
+    assert (-ctx.one).to_json()["coeffs"] == ["-1", "0", "0", "0"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(min_value=2, max_value=12), data=st.data())
+def test_to_json_matches_rat_str_of_coeffs(h, data):
+    x = data.draw(_scalars(h))
+    assert x.to_json() == {"h": h, "coeffs": _coeffs_by_fraction(x)}
+
+
 def test_division_by_rational_multiplies_by_reciprocal(monkeypatch):
     ctx = cyc_context(5)
     x = ctx.eta_pow(2) * Fraction(3, 7) - ctx.from_rat(1)
